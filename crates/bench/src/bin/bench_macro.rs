@@ -30,6 +30,7 @@ use std::error::Error;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use nvpg_cells::array::checkerboard;
 use nvpg_cells::design::RetentionKind;
 use nvpg_circuit::SolverChoice;
 use nvpg_core::{
@@ -45,12 +46,6 @@ const CYCLE_MUX: usize = 4;
 const CYCLE_BANKS: usize = 4;
 /// Dark time between shutdown and restore, seconds.
 const CYCLE_HOLD_S: f64 = 20e-9;
-
-/// The seed data pattern (same checkerboard the engine scans use, so
-/// both cell polarities and both retention states are exercised).
-fn checkerboard(r: usize, c: usize) -> bool {
-    (r + c).is_multiple_of(2)
-}
 
 struct CycleRun {
     unknowns: usize,

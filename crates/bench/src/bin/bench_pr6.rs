@@ -35,6 +35,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use nvpg_cells::array::checkerboard;
 use nvpg_cells::design::CellDesign;
 use nvpg_cells::domain::{DomainArray, DomainKind};
 use nvpg_circuit::{SolverChoice, StepStats, SPARSE_THRESHOLD};
@@ -57,10 +58,6 @@ const BOUNDS: CheckBounds = CheckBounds {
     cycle_steps: (1000, 5000),
     iterations_per_solve: (1.0, 8.0),
 };
-
-fn checkerboard(r: usize, c: usize) -> bool {
-    (r + c).is_multiple_of(2)
-}
 
 // ---------------------------------------------------------------------
 // SIMD kernel throughput

@@ -1,16 +1,17 @@
 //! Whole-domain power-gated array: `R × C` cells behind **one shared
 //! power switch**.
 //!
-//! [`crate::array::ArrayBench`] gates and sequences each row separately —
-//! the right granularity for validating the per-cell composition. This
-//! module models the other end of the paper's architecture space: a full
-//! power domain whose cells all hang from a single virtual-V_DD rail fed
-//! through one header switch sized `N_FSW × cells`, with the wordline, SR
-//! and CTRL lines broadcast across the domain and the per-column bitlines
-//! carrying their full `C_BL × rows` loading. Store, shutdown and restore
-//! act on the *whole domain at once*, which is what the figures and the
-//! `/simulate` service run when they compare NVPG against the OSR and NOF
-//! baselines at array scale.
+//! This is the array netlist the figures and the `/simulate` service run
+//! when they compare NVPG against the OSR and NOF baselines at array
+//! scale: a full power domain whose cells all hang from a single
+//! virtual-V_DD rail fed through one header switch sized `N_FSW × cells`,
+//! with the wordline, SR and CTRL lines broadcast across the domain and
+//! lumped per-column bitlines, each behind one driver resistance and
+//! carrying its full `C_BL × rows` loading. Cells, header, phase runner
+//! and recipes are the [`crate::array`] engine's; this module adds only
+//! the netlist and the bitline discharge/precharge around power-off and
+//! restore, so store, shutdown and restore act on the *whole domain at
+//! once*.
 //!
 //! A 64×64 NV domain is ~16 500 MNA unknowns — far beyond dense LU. The
 //! analyses here inherit the [`SolverChoice`] passed at construction
@@ -19,15 +20,11 @@
 //! serves both the dense-vs-sparse differential tests at small sizes and
 //! the array-scale benchmarks.
 
-use nvpg_circuit::batched::{batched_operating_point, BatchMode};
-use nvpg_circuit::dc::{operating_point, DcOptions};
-use nvpg_circuit::transient::{transient, TransientOptions};
-use nvpg_circuit::{Circuit, CircuitError, DcSolution, NodeId, SolverChoice, StepStats, Waveform};
-use nvpg_devices::finfet::FinFet;
-use nvpg_devices::mtj::MtjState;
-use nvpg_units::{Joules, Seconds};
+use std::ops::{Deref, DerefMut};
 
-use crate::array::ArrayPhase;
+use nvpg_circuit::{Circuit, CircuitError, SolverChoice};
+
+use crate::array::{ArrayBuilder, ArrayPhase, CellArray, CellTaps};
 use crate::design::CellDesign;
 
 /// Which architecture the domain implements.
@@ -54,126 +51,29 @@ impl DomainKind {
     }
 }
 
-/// Storage-node handles of one domain cell.
-#[derive(Debug, Clone, Copy)]
-struct DomainCellNodes {
-    q: NodeId,
-    qb: NodeId,
-}
-
-/// A fully-built domain netlist whose operating point has **not** been
-/// solved yet.
-///
-/// [`DomainArray::with_solver`] is `prepare(…).solve()`; splitting the
-/// two steps lets batch-shaped drivers (Monte-Carlo variation, thermal
-/// scans) build many same-topology domains — one per parameter point —
-/// and hand them to [`DomainBuilder::solve_batch`], which solves them in
-/// lock-step lanes of an [`nvpg_circuit::batched`] stack instead of one
-/// Newton run per point.
-#[derive(Debug)]
-pub struct DomainBuilder {
-    ckt: Circuit,
-    opts: DcOptions,
-    design: CellDesign,
-    kind: DomainKind,
-    rows: usize,
-    cols: usize,
-    solver: SolverChoice,
-    cells: Vec<Vec<DomainCellNodes>>,
-    source_names: Vec<String>,
-    levels: Vec<f64>,
-}
-
-impl DomainBuilder {
-    /// MNA unknown count of the prepared netlist.
-    pub fn unknown_count(&self) -> usize {
-        self.ckt.unknown_count()
-    }
-
-    /// The DC options (nodesets seeding the pattern) the solve will use.
-    pub fn dc_options(&self) -> &DcOptions {
-        &self.opts
-    }
-
-    /// Solves the operating point serially and finishes the array.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC non-convergence.
-    pub fn solve(mut self) -> Result<DomainArray, CircuitError> {
-        let state = operating_point(&mut self.ckt, &self.opts)?;
-        Ok(self.finish(state))
-    }
-
-    fn finish(self, state: DcSolution) -> DomainArray {
-        DomainArray {
-            ckt: self.ckt,
-            design: self.design,
-            kind: self.kind,
-            rows: self.rows,
-            cols: self.cols,
-            solver: self.solver,
-            cells: self.cells,
-            state,
-            source_names: self.source_names,
-            levels: self.levels,
-            stats: StepStats::default(),
-        }
-    }
-
-    /// Solves a batch of prepared domains, `batch.lanes()` lock-step
-    /// lanes at a time, returning per-domain results in input order.
-    ///
-    /// All builders must share one topology *and one seed pattern* (the
-    /// DC nodesets of the first builder in each chunk drive the whole
-    /// chunk); only device parameter values may differ, which is exactly
-    /// the Monte-Carlo/thermal-scan shape. A chunk whose unknown counts
-    /// disagree falls back to per-point serial solving inside
-    /// [`batched_operating_point`], so the call is always safe — just
-    /// slower than it could be.
-    pub fn solve_batch(
-        builders: Vec<DomainBuilder>,
-        batch: BatchMode,
-    ) -> Vec<Result<DomainArray, CircuitError>> {
-        let lanes = batch.lanes();
-        let mut out = Vec::with_capacity(builders.len());
-        let mut iter = builders.into_iter();
-        loop {
-            let chunk: Vec<DomainBuilder> = iter.by_ref().take(lanes).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            let opts = chunk[0].opts.clone();
-            let (mut circuits, seeds): (Vec<Circuit>, Vec<DomainBuilder>) = chunk
-                .into_iter()
-                .map(|mut b| (std::mem::replace(&mut b.ckt, Circuit::new()), b))
-                .unzip();
-            let results = batched_operating_point(&mut circuits, &opts);
-            for ((ckt, mut seed), res) in circuits.into_iter().zip(seeds).zip(results) {
-                seed.ckt = ckt;
-                out.push(res.map(|(state, _stats)| seed.finish(state)));
-            }
-        }
-        out
-    }
-}
-
 /// An `R × C` power domain behind a single shared power switch.
+///
+/// The domain is one gating group of the [`crate::array`] engine, so
+/// every [`CellArray`] probe, phase and recipe is available through
+/// `Deref`; the whole-domain [`store`](Self::store),
+/// [`shutdown`](Self::shutdown) and [`restore`](Self::restore) add the
+/// lumped bitlines' discharge and precharge around the engine's
+/// power-off and restore.
 #[derive(Debug)]
-pub struct DomainArray {
-    ckt: Circuit,
-    design: CellDesign,
-    kind: DomainKind,
-    rows: usize,
-    cols: usize,
-    solver: SolverChoice,
-    cells: Vec<Vec<DomainCellNodes>>,
-    state: DcSolution,
-    source_names: Vec<String>,
-    /// Current DC level of every source (phase continuity).
-    levels: Vec<f64>,
-    /// Step/solver telemetry accumulated across every phase run so far.
-    stats: StepStats,
+pub struct DomainArray(CellArray);
+
+impl Deref for DomainArray {
+    type Target = CellArray;
+
+    fn deref(&self) -> &CellArray {
+        &self.0
+    }
+}
+
+impl DerefMut for DomainArray {
+    fn deref_mut(&mut self) -> &mut CellArray {
+        &mut self.0
+    }
 }
 
 impl DomainArray {
@@ -194,18 +94,15 @@ impl DomainArray {
     }
 
     /// Builds a domain holding `pattern(r, c)` in each cell. For
-    /// nonvolatile kinds the MTJs are initialised to the **opposite**
-    /// pattern, so a subsequent [`store`](DomainArray::store) genuinely
-    /// switches every junction. Every analysis on the domain (including
-    /// the initial operating point) uses `solver`.
+    /// nonvolatile kinds the retention elements start in the
+    /// **opposite** pattern, so a subsequent [`store`](DomainArray::store)
+    /// genuinely switches every junction. Every analysis on the domain
+    /// (including the initial operating point) uses `solver`.
     ///
     /// # Errors
     ///
-    /// Propagates netlist and DC-convergence errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` or `cols` is zero.
+    /// Propagates netlist and DC-convergence errors (see
+    /// [`prepare`](Self::prepare)).
     pub fn with_solver(
         design: CellDesign,
         kind: DomainKind,
@@ -214,11 +111,15 @@ impl DomainArray {
         solver: SolverChoice,
         pattern: impl Fn(usize, usize) -> bool,
     ) -> Result<Self, CircuitError> {
-        Self::prepare(design, kind, rows, cols, solver, pattern)?.solve()
+        Self::prepare(design, kind, rows, cols, solver, pattern)?
+            .solve()
+            .map(DomainArray)
     }
 
     /// Builds the domain netlist and its pattern-seeded DC options
-    /// *without* solving the operating point. See [`DomainBuilder`].
+    /// *without* solving the operating point, for batch-shaped drivers
+    /// (Monte-Carlo variation, thermal scans) that settle many
+    /// same-topology domains through [`ArrayBuilder::solve_batch`].
     ///
     /// # Errors
     ///
@@ -233,74 +134,39 @@ impl DomainArray {
         cols: usize,
         solver: SolverChoice,
         pattern: impl Fn(usize, usize) -> bool,
-    ) -> Result<DomainBuilder, CircuitError> {
+    ) -> Result<ArrayBuilder, CircuitError> {
         if rows == 0 || cols == 0 {
             return Err(CircuitError::InvalidValue {
                 element: "domain".to_owned(),
                 reason: format!("domain dimensions must be nonzero (got {rows}×{cols})"),
             });
         }
-        // The shared header is one pFinFET with N_FSW fins per cell; past
-        // this bound the u32 fin count would overflow and silently wrap
-        // into a *weaker* switch than a single cell's.
-        let cells = rows
-            .checked_mul(cols)
-            .filter(|&n| n <= (u32::MAX / design.fins_power_switch.max(1)) as usize);
-        if cells.is_none() {
-            return Err(CircuitError::InvalidValue {
-                element: "msw".to_owned(),
-                reason: format!(
-                    "domain {rows}×{cols} needs more than u32::MAX header fins at N_FSW = {}",
-                    design.fins_power_switch
-                ),
-            });
-        }
         let c = design.conditions;
-        let gnd = Circuit::GROUND;
-        let mut ckt = Circuit::new();
-        let mut source_names = Vec::new();
-        let mut levels = Vec::new();
-        let mut add_source =
-            |ckt: &mut Circuit, name: &str, pos: NodeId, level: f64| -> Result<(), CircuitError> {
-                ckt.vsource(name, pos, gnd, level)?;
-                source_names.push(name.to_owned());
-                levels.push(level);
-                Ok(())
-            };
+        let mut a = ArrayBuilder::new(design, kind, rows, cols, solver);
 
         // Shared rails and broadcast lines.
-        let vdd_rail = ckt.node("vdd_rail");
-        let vvdd = ckt.node("vvdd");
-        let pg = ckt.node("pg");
-        let wl = ckt.node("wl");
-        add_source(&mut ckt, "vdd", vdd_rail, c.vdd)?;
-        add_source(&mut ckt, "vpg", pg, 0.0)?;
-        add_source(&mut ckt, "vwl", wl, 0.0)?;
-        let (sr, ctrl) = if kind.is_nonvolatile() {
-            let sr = ckt.node("sr");
-            let ctrl = ckt.node("ctrl");
-            add_source(&mut ckt, "vsr", sr, 0.0)?;
-            add_source(&mut ckt, "vctrl", ctrl, c.v_ctrl_normal)?;
-            (Some(sr), Some(ctrl))
-        } else {
-            (None, None)
-        };
+        let vdd_rail = a.circuit().node("vdd_rail");
+        let vvdd = a.circuit().node("vvdd");
+        let pg = a.circuit().node("pg");
+        let wl = a.circuit().node("wl");
+        a.source("vdd", vdd_rail, c.vdd)?;
+        a.source("vpg", pg, 0.0)?;
+        a.source("vwl", wl, 0.0)?;
+        a.gating_group("")?;
 
         // ONE header switch for the whole domain, N_FSW fins per cell.
-        let cell_count = (rows * cols) as u32;
-        let mut sw = design.pmos.with_fins(design.fins_power_switch * cell_count);
-        sw.vth0 += design.power_switch_vth_boost;
-        ckt.device(Box::new(FinFet::new("msw", vvdd, pg, vdd_rail, sw)))?;
+        a.header("msw", vvdd, pg, vdd_rail, rows, cols)?;
 
         // Per-column bitlines: one driver source pair feeds every column
         // through its driver impedance, and each bitline carries the full
         // column loading C_BL × rows.
-        let bl_drv = ckt.node("bl_drv");
-        let blb_drv = ckt.node("blb_drv");
-        add_source(&mut ckt, "vbl", bl_drv, c.vdd)?;
-        add_source(&mut ckt, "vblb", blb_drv, c.vdd)?;
-        let mut bl = Vec::new();
-        let mut blb = Vec::new();
+        let bl_drv = a.circuit().node("bl_drv");
+        let blb_drv = a.circuit().node("blb_drv");
+        a.source("vbl", bl_drv, c.vdd)?;
+        a.source("vblb", blb_drv, c.vdd)?;
+        let ckt = a.circuit();
+        let gnd = Circuit::GROUND;
+        let mut bitlines = Vec::with_capacity(cols);
         for col in 0..cols {
             let b = ckt.node(&format!("bl{col}"));
             let bb = ckt.node(&format!("blb{col}"));
@@ -309,265 +175,25 @@ impl DomainArray {
             let c_col = design.c_bitline * rows as f64;
             ckt.capacitor(&format!("cbl{col}"), b, gnd, c_col)?;
             ckt.capacitor(&format!("cblb{col}"), bb, gnd, c_col)?;
-            bl.push(b);
-            blb.push(bb);
+            bitlines.push((b, bb));
         }
 
-        // Cells.
-        let pu = design.pmos.with_fins(design.fins_load);
-        let pd = design.nmos.with_fins(design.fins_driver);
-        let pa = design.nmos.with_fins(design.fins_access);
-        let ps = design.nmos.with_fins(design.fins_ps);
-        let mut cells: Vec<Vec<DomainCellNodes>> = Vec::new();
-        for row in 0..rows {
-            let mut row_cells = Vec::new();
-            for col in 0..cols {
-                let tag = format!("r{row}c{col}");
-                let q = ckt.node(&format!("q_{tag}"));
-                let qb = ckt.node(&format!("qb_{tag}"));
-                ckt.device(Box::new(FinFet::new(
-                    format!("mpul_{tag}"),
-                    q,
-                    qb,
-                    vvdd,
-                    pu,
-                )))?;
-                ckt.device(Box::new(FinFet::new(
-                    format!("mpur_{tag}"),
-                    qb,
-                    q,
-                    vvdd,
-                    pu,
-                )))?;
-                ckt.device(Box::new(FinFet::new(format!("mpdl_{tag}"), q, qb, gnd, pd)))?;
-                ckt.device(Box::new(FinFet::new(format!("mpdr_{tag}"), qb, q, gnd, pd)))?;
-                ckt.device(Box::new(FinFet::new(
-                    format!("mpgl_{tag}"),
-                    bl[col],
-                    wl,
-                    q,
-                    pa,
-                )))?;
-                ckt.device(Box::new(FinFet::new(
-                    format!("mpgr_{tag}"),
-                    blb[col],
-                    wl,
-                    qb,
-                    pa,
-                )))?;
-                if let (Some(sr), Some(ctrl)) = (sr, ctrl) {
-                    let ml = ckt.node(&format!("ml_{tag}"));
-                    let mr = ckt.node(&format!("mr_{tag}"));
-                    ckt.device(Box::new(FinFet::new(format!("mpsl_{tag}"), q, sr, ml, ps)))?;
-                    ckt.device(Box::new(FinFet::new(format!("mpsr_{tag}"), qb, sr, mr, ps)))?;
-                    // Retention elements start in the OPPOSITE pattern;
-                    // pinned side toward the cell, free side on CTRL. No
-                    // per-cell ammeters at domain scale: they would add a
-                    // branch unknown per junction for a current the
-                    // domain-level energy accounting does not need.
-                    let (l0, r0) = if pattern(row, col) {
-                        (MtjState::Parallel, MtjState::AntiParallel)
-                    } else {
-                        (MtjState::AntiParallel, MtjState::Parallel)
-                    };
-                    let nvdev = design.retention_device();
-                    nvdev.attach(&mut ckt, &format!("xl_{tag}"), ctrl, ml, l0.into())?;
-                    nvdev.attach(&mut ckt, &format!("xr_{tag}"), ctrl, mr, r0.into())?;
-                }
-                row_cells.push(DomainCellNodes { q, qb });
-            }
-            cells.push(row_cells);
+        a.cells(
+            |_, col| CellTaps {
+                rail: vvdd,
+                wl,
+                bl: bitlines[col].0,
+                blb: bitlines[col].1,
+                group: 0,
+            },
+            pattern,
+        )?;
+        a.nodeset(vvdd, c.vdd);
+        for &(b, bb) in &bitlines {
+            a.nodeset(b, c.vdd);
+            a.nodeset(bb, c.vdd);
         }
-
-        // Operating point with every cell seeded to its pattern.
-        let mut opts = DcOptions {
-            solver,
-            ..DcOptions::default()
-        };
-        for (row, row_cells) in cells.iter().enumerate() {
-            for (col, cell) in row_cells.iter().enumerate() {
-                let (vq, vqb) = if pattern(row, col) {
-                    (c.vdd, 0.0)
-                } else {
-                    (0.0, c.vdd)
-                };
-                opts = opts.with_nodeset(cell.q, vq).with_nodeset(cell.qb, vqb);
-            }
-        }
-        opts = opts.with_nodeset(vvdd, c.vdd);
-        for (&b, &bb) in bl.iter().zip(&blb) {
-            opts = opts.with_nodeset(b, c.vdd).with_nodeset(bb, c.vdd);
-        }
-        Ok(DomainBuilder {
-            ckt,
-            opts,
-            design,
-            kind,
-            rows,
-            cols,
-            solver,
-            cells,
-            source_names,
-            levels,
-        })
-    }
-
-    /// Domain dimensions `(rows, cols)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Number of cells.
-    pub fn cell_count(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    /// The architecture kind the domain was built as.
-    pub fn kind(&self) -> DomainKind {
-        self.kind
-    }
-
-    /// MNA unknown count of the domain netlist.
-    pub fn unknown_count(&self) -> usize {
-        self.ckt.unknown_count()
-    }
-
-    /// The current DC state of the domain.
-    pub fn state(&self) -> &DcSolution {
-        &self.state
-    }
-
-    /// Total static power delivered by every source in the current DC
-    /// state (W) — the domain's leakage in whatever mode it sits in.
-    pub fn static_power(&self) -> f64 {
-        self.source_names
-            .iter()
-            .zip(&self.levels)
-            .map(|(n, &v)| self.state.source_power(n, v).unwrap_or(0.0))
-            .sum()
-    }
-
-    /// Smallest `|V(Q) − V(QB)|` over all cells (V): the worst per-cell
-    /// storage margin in the current state.
-    pub fn min_storage_margin(&self) -> f64 {
-        self.cells
-            .iter()
-            .flatten()
-            .map(|cell| (self.state.voltage(cell.q) - self.state.voltage(cell.qb)).abs())
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Step/solver telemetry accumulated over every phase run so far
-    /// (store, shutdown, sleep, wake, hold, restore). Benchmarks read
-    /// this after a sequence; [`reset_step_stats`](Self::reset_step_stats)
-    /// starts a fresh window.
-    pub fn step_stats(&self) -> &StepStats {
-        &self.stats
-    }
-
-    /// Clears the accumulated step telemetry.
-    pub fn reset_step_stats(&mut self) {
-        self.stats = StepStats::default();
-    }
-
-    /// The latched data of cell `(row, col)` in the current state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn data(&self, row: usize, col: usize) -> bool {
-        let cell = &self.cells[row][col];
-        self.state.voltage(cell.q) > self.state.voltage(cell.qb)
-    }
-
-    /// The whole data pattern.
-    pub fn pattern(&self) -> Vec<Vec<bool>> {
-        (0..self.rows)
-            .map(|r| (0..self.cols).map(|c| self.data(r, c)).collect())
-            .collect()
-    }
-
-    /// Retention-element states of cell `(row, col)` as `(Q side, QB
-    /// side)`, decoded through the shared `"state"` signal convention
-    /// (high-resistance ⇒ `AntiParallel`), so the same decode works for
-    /// every [`RetentionKind`](crate::design::RetentionKind); `None` for
-    /// volatile (OSR) domains.
-    pub fn mtj_states(&self, row: usize, col: usize) -> Option<(MtjState, MtjState)> {
-        let decode = |name: String| -> Option<MtjState> {
-            let st = self.ckt.device_state(&name)?;
-            let v = st.iter().find(|(l, _)| l == "state")?.1;
-            Some(if v > 0.5 {
-                MtjState::AntiParallel
-            } else {
-                MtjState::Parallel
-            })
-        };
-        Some((
-            decode(format!("xl_r{row}c{col}"))?,
-            decode(format!("xr_r{row}c{col}"))?,
-        ))
-    }
-
-    fn level_of(&self, name: &str) -> f64 {
-        let idx = self
-            .source_names
-            .iter()
-            .position(|n| n == name)
-            .unwrap_or_else(|| panic!("unknown source {name}"));
-        self.levels[idx]
-    }
-
-    fn ramp(&self, name: &str, to: f64) -> (String, Waveform) {
-        let from = self.level_of(name);
-        let e = self.design.conditions.edge_time;
-        (name.to_owned(), Waveform::Pwl(vec![(0.0, from), (e, to)]))
-    }
-
-    /// Runs a phase of `duration` with waveform overrides, continuing
-    /// from the current state; returns the total energy.
-    fn phase(
-        &mut self,
-        duration: f64,
-        waves: &[(String, Waveform)],
-    ) -> Result<ArrayPhase, CircuitError> {
-        for (src, wave) in waves {
-            self.ckt.set_source(src, wave.clone())?;
-        }
-        let opts = TransientOptions {
-            t_stop: duration,
-            dt_max: (duration / 100.0).clamp(1e-12, 200e-12),
-            dt_init: 1e-12,
-            // Array-scale performance levers: keep the LU across quiescent
-            // steps and skip re-evaluating devices whose terminals barely
-            // moved — most of the domain is idle in any given phase.
-            device_bypass_tol: 1e-6,
-            solver: self.solver,
-            ..TransientOptions::default()
-        };
-        let result = transient(&mut self.ckt, &opts, &self.state)?;
-        self.stats += result.steps;
-        self.state = result.final_state;
-        for (src, wave) in waves {
-            let end = wave.value(duration);
-            self.ckt.set_source(src, end)?;
-            let idx = self
-                .source_names
-                .iter()
-                .position(|n| n == src)
-                .expect("known source");
-            self.levels[idx] = end;
-        }
-        let mut energy = 0.0;
-        for name in &self.source_names {
-            energy += result
-                .trace
-                .integral(&format!("p({name})"))
-                .expect("power signal recorded");
-        }
-        Ok(ArrayPhase {
-            energy: Joules(energy),
-            duration: Seconds(duration),
-        })
+        Ok(a)
     }
 
     /// Two-step store of the **whole domain at once**: SR up with CTRL
@@ -580,21 +206,9 @@ impl DomainArray {
     ///
     /// # Panics
     ///
-    /// Panics on an OSR domain (no MTJs to store).
+    /// Panics on an OSR domain (no retention elements to store).
     pub fn store(&mut self) -> Result<ArrayPhase, CircuitError> {
-        assert!(
-            self.kind.is_nonvolatile(),
-            "OSR domains have no MTJs to store"
-        );
-        let c = self.design.conditions;
-        let t = c.store_duration;
-        let p1 = self.phase(t, &[self.ramp("vsr", c.v_sr), self.ramp("vctrl", 0.0)])?;
-        let p2 = self.phase(t, &[self.ramp("vctrl", c.v_ctrl_store)])?;
-        let p3 = self.phase(1e-9, &[self.ramp("vsr", 0.0), self.ramp("vctrl", 0.0)])?;
-        Ok(ArrayPhase {
-            energy: p1.energy + p2.energy + p3.energy,
-            duration: p1.duration + p2.duration + p3.duration,
-        })
+        self.0.store(&[0])
     }
 
     /// Powers the domain off through the shared switch (super cutoff when
@@ -608,63 +222,12 @@ impl DomainArray {
     ///
     /// Panics on an OSR domain: per the paper's architecture semantics
     /// the volatile baseline never powers off — use
-    /// [`sleep`](DomainArray::sleep).
+    /// [`sleep`](CellArray::sleep).
     pub fn shutdown(&mut self, super_cutoff: bool) -> Result<ArrayPhase, CircuitError> {
-        assert!(
-            self.kind.is_nonvolatile(),
-            "OSR domains sleep, they never power off"
-        );
-        let c = self.design.conditions;
-        let v_pg = if super_cutoff {
-            c.v_pg_super
-        } else {
-            c.v_pg_off
-        };
-        let p1 = self.phase(2e-9, &[self.ramp("vpg", v_pg)])?;
-        let p2 = self.phase(2e-9, &[self.ramp("vbl", 0.0), self.ramp("vblb", 0.0)])?;
-        Ok(ArrayPhase {
-            energy: p1.energy + p2.energy,
-            duration: p1.duration + p2.duration,
-        })
-    }
-
-    /// Enters the low-voltage retention mode: the rail drops to
-    /// `vdd_sleep` (and CTRL to its sleep bias on NV domains). Data is
-    /// retained — this is the OSR standby state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    pub fn sleep(&mut self) -> Result<ArrayPhase, CircuitError> {
-        let c = self.design.conditions;
-        let mut waves = vec![self.ramp("vdd", c.vdd_sleep)];
-        if self.kind.is_nonvolatile() {
-            waves.push(self.ramp("vctrl", c.v_ctrl_sleep));
-        }
-        self.phase(2e-9, &waves)
-    }
-
-    /// Returns from sleep to the normal operating mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    pub fn wake(&mut self) -> Result<ArrayPhase, CircuitError> {
-        let c = self.design.conditions;
-        let mut waves = vec![self.ramp("vdd", c.vdd)];
-        if self.kind.is_nonvolatile() {
-            waves.push(self.ramp("vctrl", c.v_ctrl_normal));
-        }
-        self.phase(2e-9, &waves)
-    }
-
-    /// Lets the domain sit for `duration` in its current mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    pub fn hold(&mut self, duration: f64) -> Result<ArrayPhase, CircuitError> {
-        self.phase(duration, &[])
+        let mut total = self.0.shutdown(&[0], super_cutoff)?;
+        let discharge = [self.ramp("vbl", 0.0), self.ramp("vblb", 0.0)];
+        total += self.phase(2e-9, &discharge)?;
+        Ok(total)
     }
 
     /// Whole-domain restore: bitlines precharge, then SR on, slow
@@ -679,40 +242,11 @@ impl DomainArray {
     ///
     /// Panics on an OSR domain.
     pub fn restore(&mut self) -> Result<ArrayPhase, CircuitError> {
-        assert!(
-            self.kind.is_nonvolatile(),
-            "OSR domains have no MTJs to restore from"
-        );
-        let c = self.design.conditions;
-        let mut total = self.phase(2e-9, &[self.ramp("vbl", c.vdd), self.ramp("vblb", c.vdd)])?;
-        let dur = c.restore_duration;
-        let e = c.edge_time;
-        let sr = Waveform::Pwl(vec![
-            (0.0, self.level_of("vsr")),
-            (e, c.v_sr),
-            (0.7 * dur, c.v_sr),
-            (0.7 * dur + e, 0.0),
-        ]);
-        let pg = Waveform::Pwl(vec![
-            (0.0, self.level_of("vpg")),
-            (0.05 * dur, self.level_of("vpg")),
-            (0.45 * dur, 0.0),
-        ]);
-        let ctrl = Waveform::Pwl(vec![
-            (0.0, self.level_of("vctrl")),
-            (0.7 * dur, self.level_of("vctrl")),
-            (0.7 * dur + e, c.v_ctrl_normal),
-        ]);
-        let p = self.phase(
-            dur,
-            &[
-                ("vsr".to_owned(), sr),
-                ("vpg".to_owned(), pg),
-                ("vctrl".to_owned(), ctrl),
-            ],
-        )?;
-        total.energy += p.energy;
-        total.duration += p.duration;
+        self.assert_nv("restore");
+        let vdd = self.design().conditions.vdd;
+        let precharge = [self.ramp("vbl", vdd), self.ramp("vblb", vdd)];
+        let mut total = self.phase(2e-9, &precharge)?;
+        total += self.0.restore(&[0])?;
         Ok(total)
     }
 }
@@ -720,10 +254,9 @@ impl DomainArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn checkerboard(r: usize, c: usize) -> bool {
-        (r + c).is_multiple_of(2)
-    }
+    use crate::array::checkerboard;
+    use nvpg_circuit::batched::BatchMode;
+    use nvpg_devices::mtj::MtjState;
 
     #[test]
     fn nv_domain_builds_and_holds_pattern() {
@@ -891,8 +424,8 @@ mod tests {
             )
             .unwrap()
         };
-        let builders: Vec<DomainBuilder> = designs.iter().map(prepare).collect();
-        let batched = DomainBuilder::solve_batch(builders, BatchMode::Fixed(4));
+        let builders: Vec<ArrayBuilder> = designs.iter().map(prepare).collect();
+        let batched = ArrayBuilder::solve_batch(builders, BatchMode::Fixed(4));
         assert_eq!(batched.len(), 4);
         for (d, res) in designs.iter().zip(batched) {
             let b = res.unwrap();
@@ -907,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no MTJs to store")]
+    #[should_panic(expected = "no retention elements to store")]
     fn store_on_osr_panics() {
         let mut d =
             DomainArray::new(CellDesign::table1(), DomainKind::Osr, 2, 2, checkerboard).unwrap();

@@ -11,6 +11,9 @@
 //! * [`cell`] — netlist builders;
 //! * [`mod@bench`] — phase-sequenced cell operation (read, write, sleep,
 //!   two-step store, shutdown, restore) with per-phase energy accounting;
+//! * [`mod@array`] — the array engine (cell and header stamps, phase runner,
+//!   gating-group store/power-off/restore recipes) and [`domain`], the
+//!   whole-domain array built on it;
 //! * [`mod@characterize`] — figure-level extraction (leakage vs `V_CTRL`,
 //!   store currents, `VV_DD` vs `N_FSW`, static power per mode, and the
 //!   full [`characterize::CellCharacterization`]);
@@ -42,12 +45,12 @@ pub mod nvff;
 pub mod snm;
 pub mod timing;
 
-pub use array::{ArrayBench, ArrayPhase};
+pub use array::{ArrayBuilder, ArrayPhase, CellArray};
 pub use bench::{CellBench, Mode, PhaseResult};
 pub use cell::{build_cell, CellKind, CellNodes, MtjConfig, NvNodes};
 pub use characterize::{characterize, CellCharacterization, StaticPowerTable};
 pub use design::{CellDesign, OperatingConditions, RetentionKind};
-pub use domain::{DomainArray, DomainBuilder, DomainKind};
+pub use domain::{DomainArray, DomainKind};
 pub use nvff::{FlopPhase, NvFlipFlop};
 pub use snm::{static_noise_margin, SnmCondition};
 pub use timing::{timing, TimingReport};

@@ -21,16 +21,11 @@
 
 pub use nvpg_circuit::batched::{default_batch, set_default_batch, BatchMode, DEFAULT_BATCH_LANES};
 
+use nvpg_cells::array::{checkerboard, ArrayBuilder, CellArray};
 use nvpg_cells::design::CellDesign;
-use nvpg_cells::domain::{DomainArray, DomainBuilder, DomainKind};
+use nvpg_cells::domain::{DomainArray, DomainKind};
 use nvpg_circuit::{CircuitError, SolverChoice};
 use nvpg_exec::{Budget, Settled};
-
-/// The seed data pattern every batched domain scan uses: a checkerboard,
-/// so both cell polarities appear and the scans stress both MTJ states.
-pub(crate) fn checkerboard(r: usize, c: usize) -> bool {
-    (r + c).is_multiple_of(2)
-}
 
 /// Solves the DC operating point of an `rows × cols` domain of `kind`
 /// for every design in `designs` — one checkerboard-seeded domain per
@@ -47,17 +42,17 @@ pub fn solve_domain_designs(
     cols: usize,
     batch: BatchMode,
     jobs: usize,
-) -> Vec<Result<DomainArray, CircuitError>> {
+) -> Vec<Result<CellArray, CircuitError>> {
     let lanes = batch.lanes();
     let starts: Vec<usize> = (0..designs.len()).step_by(lanes).collect();
-    let settled: Vec<Settled<Vec<Result<DomainArray, CircuitError>>, CircuitError>> =
+    let settled: Vec<Settled<Vec<Result<CellArray, CircuitError>>, CircuitError>> =
         nvpg_exec::par_map_settled(jobs, &starts, Budget::unlimited(), |_, &start| {
             let end = (start + lanes).min(designs.len());
             // Prepare each lane's netlist; a build failure claims that
             // point's slot and drops the lane from the batch.
-            let mut slots: Vec<Option<Result<DomainArray, CircuitError>>> =
+            let mut slots: Vec<Option<Result<CellArray, CircuitError>>> =
                 (start..end).map(|_| None).collect();
-            let mut lanes_built: Vec<(usize, DomainBuilder)> = Vec::with_capacity(end - start);
+            let mut lanes_built: Vec<(usize, ArrayBuilder)> = Vec::with_capacity(end - start);
             for i in start..end {
                 match DomainArray::prepare(
                     designs[i],
@@ -71,11 +66,11 @@ pub fn solve_domain_designs(
                     Err(e) => slots[i - start] = Some(Err(e)),
                 }
             }
-            let (positions, builders): (Vec<usize>, Vec<DomainBuilder>) =
+            let (positions, builders): (Vec<usize>, Vec<ArrayBuilder>) =
                 lanes_built.into_iter().unzip();
             for (pos, res) in positions
                 .into_iter()
-                .zip(DomainBuilder::solve_batch(builders, batch))
+                .zip(ArrayBuilder::solve_batch(builders, batch))
             {
                 slots[pos] = Some(res);
             }
@@ -128,7 +123,7 @@ mod tests {
             .collect()
     }
 
-    fn powers(results: &[Result<DomainArray, CircuitError>]) -> Vec<f64> {
+    fn powers(results: &[Result<CellArray, CircuitError>]) -> Vec<f64> {
         results
             .iter()
             .map(|r| r.as_ref().expect("domain solves").static_power())

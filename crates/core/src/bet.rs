@@ -176,7 +176,7 @@ pub fn bet_design_scan(
         rows,
         cols,
         SolverChoice::Auto,
-        crate::batch::checkerboard,
+        nvpg_cells::array::checkerboard,
     )?
     .solve()?;
     let nominal_power = nominal.static_power();

@@ -21,6 +21,7 @@
 //!   NVPG and NOF against the OSR baseline with the always-on periphery
 //!   overhead charged to every architecture.
 
+use nvpg_cells::array::{checkerboard, ArrayBuilder};
 use nvpg_cells::characterize::{characterize_cached, CellCharacterization};
 use nvpg_cells::design::CellDesign;
 use nvpg_cells::domain::DomainKind;
@@ -28,7 +29,7 @@ use nvpg_circuit::{CircuitError, SolverChoice};
 use nvpg_macro::{Granularity, MacroBuilder, MacroSpec, NvMacro};
 
 use crate::arch::Architecture;
-use crate::batch::{checkerboard, solve_domain_designs, BatchMode};
+use crate::batch::{solve_domain_designs, BatchMode};
 use crate::bet::{bet_closed_form, Bet};
 use crate::energy::{BenchmarkParams, EnergyModel};
 
@@ -309,9 +310,10 @@ pub fn bet_macro_scan(
                 let mut s = spec0;
                 s.design = *design;
                 MacroBuilder::prepare(s, SolverChoice::Auto, checkerboard)
+                    .map(MacroBuilder::into_array)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let macros = MacroBuilder::solve_batch(builders, batch);
+        let macros = ArrayBuilder::solve_batch(builders, batch);
 
         for ((res, (label, _, ch)), &domain_power) in
             macros.into_iter().zip(&designs).zip(&nv_domain_power)

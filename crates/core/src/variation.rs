@@ -15,6 +15,7 @@
 
 use nvpg_numeric::rng::Rng64;
 
+use nvpg_cells::array::checkerboard;
 use nvpg_cells::characterize::{characterize, characterize_cached};
 use nvpg_cells::design::CellDesign;
 use nvpg_cells::domain::{DomainArray, DomainKind};
@@ -23,7 +24,7 @@ use nvpg_circuit::{CircuitError, RescueStats, SolverChoice};
 use nvpg_exec::{Budget, Settled};
 
 use crate::arch::Architecture;
-use crate::batch::{checkerboard, solve_domain_designs, BatchMode};
+use crate::batch::{solve_domain_designs, BatchMode};
 use crate::bet::{bet_closed_form, Bet};
 use crate::energy::{BenchmarkParams, EnergyModel};
 use crate::error::SimError;

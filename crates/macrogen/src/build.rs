@@ -1,17 +1,20 @@
 //! Macro netlist construction and phase sequencing.
 //!
 //! [`MacroBuilder::prepare`] emits the full macro netlist — cell array
-//! plus periphery — and [`MacroBuilder::solve`] settles the normal-mode
-//! operating point, yielding an [`NvMacro`] whose phase methods mirror
-//! the `DomainArray` sequencing but act on individual gating groups.
+//! plus periphery — on the `nvpg-cells` array engine, and
+//! [`MacroBuilder::solve`] settles the normal-mode operating point,
+//! yielding an [`NvMacro`]. The engine supplies the cells, headers,
+//! probes and gating-group recipes (store, power-off, restore, sleep,
+//! wake) through `Deref`; the macro adds only its periphery,
+//! [`NvMacro::element_bias`] and [`NvMacro::access_read`].
 //!
 //! ## Netlist topology
 //!
-//! * **Cell array** — the `DomainArray` cell composition (6T core,
-//!   PS-FinFETs, retention elements via the design's
-//!   [`RetentionKind`](nvpg_cells::design::RetentionKind)), except that
-//!   each cell hangs from its gating group's virtual rail, its wordline
-//!   tap and its bitline row tap.
+//! * **Cell array** — the engine's cell (6T core, PS-FinFETs, retention
+//!   elements via the design's
+//!   [`RetentionKind`](nvpg_cells::design::RetentionKind)), each hung
+//!   from its gating group's virtual rail, its wordline tap and its
+//!   bitline row tap.
 //! * **Headers** — one high-V_th pFinFET per gating group, sized
 //!   `N_FSW × cells-in-group`, gated by a per-group `vpg{g}` source. NV
 //!   groups get their own `vsr{g}`/`vctrl{g}` broadcast pair so banks
@@ -28,13 +31,11 @@
 //! * **Replica column** — a cell-less bitline ladder with its own
 //!   precharge and a replica-enable pulldown, for sense-timing studies.
 
-use nvpg_circuit::batched::{batched_operating_point, BatchMode};
-use nvpg_circuit::dc::{operating_point, DcOptions};
-use nvpg_circuit::transient::{transient, TransientOptions};
-use nvpg_circuit::{Circuit, CircuitError, DcSolution, NodeId, SolverChoice, StepStats, Waveform};
+use std::ops::{Deref, DerefMut};
+
+use nvpg_cells::array::{ArrayBuilder, ArrayPhase, CellArray, CellTaps};
+use nvpg_circuit::{Circuit, CircuitError, NodeId, SolverChoice, Waveform};
 use nvpg_devices::finfet::FinFet;
-use nvpg_devices::mtj::MtjState;
-use nvpg_units::{Joules, Seconds};
 
 use crate::spec::MacroSpec;
 
@@ -47,46 +48,12 @@ const R_BL_SEGMENT: f64 = 20.0;
 /// Wordline driver (third decoder stage) fin count.
 const WL_DRIVER_FINS: u32 = 2;
 
-/// Energy/duration result of one macro phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MacroPhase {
-    /// Total energy delivered by every source during the phase.
-    pub energy: Joules,
-    /// Phase duration.
-    pub duration: Seconds,
-}
-
-impl MacroPhase {
-    fn zero() -> Self {
-        MacroPhase {
-            energy: Joules(0.0),
-            duration: Seconds(0.0),
-        }
-    }
-
-    fn add(&mut self, other: MacroPhase) {
-        self.energy += other.energy;
-        self.duration += other.duration;
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct MacroCellNodes {
-    q: NodeId,
-    qb: NodeId,
-}
-
 /// A fully-built macro netlist whose operating point has not been solved
-/// yet (same split as `DomainBuilder`, for batch-shaped drivers).
+/// yet (the engine's [`ArrayBuilder`] plus the spec it was built from).
 #[derive(Debug)]
 pub struct MacroBuilder {
-    ckt: Circuit,
-    opts: DcOptions,
+    array: ArrayBuilder,
     spec: MacroSpec,
-    solver: SolverChoice,
-    cells: Vec<Vec<MacroCellNodes>>,
-    source_names: Vec<String>,
-    levels: Vec<f64>,
 }
 
 impl MacroBuilder {
@@ -96,7 +63,8 @@ impl MacroBuilder {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidValue`] for degenerate specs (see
-    /// [`MacroSpec::validate`]) and otherwise propagates netlist errors.
+    /// [`MacroSpec::validate`]) or a gating group too large for its
+    /// header's fin count, and otherwise propagates netlist errors.
     pub fn prepare(
         spec: MacroSpec,
         solver: SolverChoice,
@@ -106,91 +74,54 @@ impl MacroBuilder {
         let design = spec.design;
         let c = design.conditions;
         let gnd = Circuit::GROUND;
-        let nv = spec.kind.is_nonvolatile();
-        let groups = spec.groups();
-        let mut ckt = Circuit::new();
-        let mut source_names = Vec::new();
-        let mut levels = Vec::new();
-        let mut add_source = |ckt: &mut Circuit,
-                              name: String,
-                              pos: NodeId,
-                              level: f64|
-         -> Result<(), CircuitError> {
-            ckt.vsource(&name, pos, gnd, level)?;
-            source_names.push(name);
-            levels.push(level);
-            Ok(())
-        };
+        let mut a = ArrayBuilder::new(design, spec.kind, spec.rows, spec.cols, solver);
 
         // Always-on rail powering the periphery and feeding the headers.
-        let vdd_rail = ckt.node("vdd_rail");
-        add_source(&mut ckt, "vdd".into(), vdd_rail, c.vdd)?;
+        let vdd_rail = a.circuit().node("vdd_rail");
+        a.source("vdd", vdd_rail, c.vdd)?;
 
         // Per-group headers and (NV) store/restore broadcast lines.
-        let mut vvdd = Vec::with_capacity(groups);
-        let mut sr = Vec::new();
-        let mut ctrl = Vec::new();
-        for g in 0..groups {
-            let pg = ckt.node(&format!("pg{g}"));
-            let rail = ckt.node(&format!("vvdd{g}"));
-            add_source(&mut ckt, format!("vpg{g}"), pg, 0.0)?;
-            let group_cells = spec.group_rows(g).len() * spec.cols;
-            let mut sw = design
-                .pmos
-                .with_fins(design.fins_power_switch * group_cells as u32);
-            sw.vth0 += design.power_switch_vth_boost;
-            ckt.device(Box::new(FinFet::new(
-                format!("msw{g}"),
-                rail,
-                pg,
-                vdd_rail,
-                sw,
-            )))?;
+        let mut vvdd = Vec::with_capacity(spec.groups());
+        for g in 0..spec.groups() {
+            let pg = a.circuit().node(&format!("pg{g}"));
+            let rail = a.circuit().node(&format!("vvdd{g}"));
+            a.source(&format!("vpg{g}"), pg, 0.0)?;
+            let rows = spec.group_rows(g).len();
+            a.header(&format!("msw{g}"), rail, pg, vdd_rail, rows, spec.cols)?;
+            a.gating_group(&g.to_string())?;
             vvdd.push(rail);
-            if nv {
-                let s = ckt.node(&format!("sr{g}"));
-                let ct = ckt.node(&format!("ctrl{g}"));
-                add_source(&mut ckt, format!("vsr{g}"), s, 0.0)?;
-                add_source(&mut ckt, format!("vctrl{g}"), ct, c.v_ctrl_normal)?;
-                sr.push(s);
-                ctrl.push(ct);
-            }
         }
 
         // Row-select inputs: the active row (row 0) has its own source,
         // every other row shares the deselect line. Inputs are active-low
         // through the 3-stage chain (input high ⇒ wordline low).
-        let rowsel = ckt.node("rowsel");
-        let rowoff = ckt.node("rowoff");
-        add_source(&mut ckt, "vrowsel".into(), rowsel, c.vdd)?;
-        add_source(&mut ckt, "vrowoff".into(), rowoff, c.vdd)?;
+        let rowsel = a.circuit().node("rowsel");
+        let rowoff = a.circuit().node("rowoff");
+        a.source("vrowsel", rowsel, c.vdd)?;
+        a.source("vrowoff", rowoff, c.vdd)?;
 
         // Shared periphery control lines.
-        let pre = ckt.node("pre");
-        add_source(&mut ckt, "vpre".into(), pre, 0.0)?; // active low: on
+        let pre = a.circuit().node("pre");
+        a.source("vpre", pre, 0.0)?; // active low: on
         let mut ysel = Vec::with_capacity(spec.mux);
         for j in 0..spec.mux {
-            let y = ckt.node(&format!("y{j}"));
+            let y = a.circuit().node(&format!("y{j}"));
             // Column 0 of each mux group starts selected.
-            add_source(
-                &mut ckt,
-                format!("vy{j}"),
-                y,
-                if j == 0 { c.vdd } else { 0.0 },
-            )?;
+            a.source(&format!("vy{j}"), y, if j == 0 { c.vdd } else { 0.0 })?;
             ysel.push(y);
         }
-        let saeb = ckt.node("saeb");
-        let sae = ckt.node("sae");
-        add_source(&mut ckt, "vsaeb".into(), saeb, c.vdd)?; // SA disabled
-        add_source(&mut ckt, "vsae".into(), sae, 0.0)?;
-        let wd = ckt.node("wd");
-        let wdb = ckt.node("wdb");
-        add_source(&mut ckt, "vwd".into(), wd, 0.0)?;
-        add_source(&mut ckt, "vwdb".into(), wdb, 0.0)?;
-        let rble = ckt.node("rble");
-        add_source(&mut ckt, "vrble".into(), rble, 0.0)?;
+        let saeb = a.circuit().node("saeb");
+        let sae = a.circuit().node("sae");
+        a.source("vsaeb", saeb, c.vdd)?; // SA disabled
+        a.source("vsae", sae, 0.0)?;
+        let wd = a.circuit().node("wd");
+        let wdb = a.circuit().node("wdb");
+        a.source("vwd", wd, 0.0)?;
+        a.source("vwdb", wdb, 0.0)?;
+        let rble = a.circuit().node("rble");
+        a.source("vrble", rble, 0.0)?;
 
+        let ckt = a.circuit();
         let inv_p = design.pmos.with_fins(1);
         let inv_n = design.nmos.with_fins(1);
         let drv_p = design.pmos.with_fins(WL_DRIVER_FINS);
@@ -226,9 +157,9 @@ impl MacroBuilder {
             let d1 = ckt.node(&format!("dec1_r{r}"));
             let d2 = ckt.node(&format!("dec2_r{r}"));
             let head = ckt.node(&format!("wlh_r{r}"));
-            inverter(&mut ckt, &format!("dec1_r{r}"), input, d1, inv_p, inv_n)?;
-            inverter(&mut ckt, &format!("dec2_r{r}"), d1, d2, inv_p, inv_n)?;
-            inverter(&mut ckt, &format!("wld_r{r}"), d2, head, drv_p, drv_n)?;
+            inverter(ckt, &format!("dec1_r{r}"), input, d1, inv_p, inv_n)?;
+            inverter(ckt, &format!("dec2_r{r}"), d1, d2, inv_p, inv_n)?;
+            inverter(ckt, &format!("wld_r{r}"), d2, head, drv_p, drv_n)?;
             let mut taps = Vec::with_capacity(spec.cols);
             let mut prev = head;
             for col in 0..spec.cols {
@@ -389,133 +320,41 @@ impl MacroBuilder {
         }
         ckt.device(Box::new(FinFet::new("mrble", prev, rble, gnd, mux_n)))?;
 
-        // The cell array.
-        let pu = design.pmos.with_fins(design.fins_load);
-        let pd = design.nmos.with_fins(design.fins_driver);
-        let pa = design.nmos.with_fins(design.fins_access);
-        let ps = design.nmos.with_fins(design.fins_ps);
-        let mut cells = Vec::with_capacity(spec.rows);
-        for row in 0..spec.rows {
-            let g = spec.group_of_row(row);
-            let rail = vvdd[g];
-            let mut row_cells = Vec::with_capacity(spec.cols);
-            for col in 0..spec.cols {
-                let tag = format!("r{row}c{col}");
-                let q = ckt.node(&format!("q_{tag}"));
-                let qb = ckt.node(&format!("qb_{tag}"));
-                let wl = wl_taps[row][col];
-                let bl = bl_taps[col][row];
-                let blb = blb_taps[col][row];
-                ckt.device(Box::new(FinFet::new(
-                    format!("mpul_{tag}"),
-                    q,
-                    qb,
-                    rail,
-                    pu,
-                )))?;
-                ckt.device(Box::new(FinFet::new(
-                    format!("mpur_{tag}"),
-                    qb,
-                    q,
-                    rail,
-                    pu,
-                )))?;
-                ckt.device(Box::new(FinFet::new(format!("mpdl_{tag}"), q, qb, gnd, pd)))?;
-                ckt.device(Box::new(FinFet::new(format!("mpdr_{tag}"), qb, q, gnd, pd)))?;
-                ckt.device(Box::new(FinFet::new(format!("mpgl_{tag}"), bl, wl, q, pa)))?;
-                ckt.device(Box::new(FinFet::new(
-                    format!("mpgr_{tag}"),
-                    blb,
-                    wl,
-                    qb,
-                    pa,
-                )))?;
-                if nv {
-                    let ml = ckt.node(&format!("ml_{tag}"));
-                    let mr = ckt.node(&format!("mr_{tag}"));
-                    ckt.device(Box::new(FinFet::new(
-                        format!("mpsl_{tag}"),
-                        q,
-                        sr[g],
-                        ml,
-                        ps,
-                    )))?;
-                    ckt.device(Box::new(FinFet::new(
-                        format!("mpsr_{tag}"),
-                        qb,
-                        sr[g],
-                        mr,
-                        ps,
-                    )))?;
-                    // Elements start in the OPPOSITE pattern so a store
-                    // genuinely switches them (DomainArray convention).
-                    let (l0, r0) = if pattern(row, col) {
-                        (MtjState::Parallel, MtjState::AntiParallel)
-                    } else {
-                        (MtjState::AntiParallel, MtjState::Parallel)
-                    };
-                    let nvdev = design.retention_device();
-                    nvdev.attach(&mut ckt, &format!("xl_{tag}"), ctrl[g], ml, l0.into())?;
-                    nvdev.attach(&mut ckt, &format!("xr_{tag}"), ctrl[g], mr, r0.into())?;
+        a.cells(
+            |row, col| {
+                let g = spec.group_of_row(row);
+                CellTaps {
+                    rail: vvdd[g],
+                    wl: wl_taps[row][col],
+                    bl: bl_taps[col][row],
+                    blb: blb_taps[col][row],
+                    group: g,
                 }
-                row_cells.push(MacroCellNodes { q, qb });
-            }
-            cells.push(row_cells);
-        }
+            },
+            pattern,
+        )?;
 
-        // Operating-point seeding: pattern in the cells, rails up,
-        // bitlines and sense lines precharged, wordlines low.
-        let mut opts = DcOptions {
-            solver,
-            ..DcOptions::default()
-        };
-        for (row, row_cells) in cells.iter().enumerate() {
-            for (col, cell) in row_cells.iter().enumerate() {
-                let (vq, vqb) = if pattern(row, col) {
-                    (c.vdd, 0.0)
-                } else {
-                    (0.0, c.vdd)
-                };
-                opts = opts.with_nodeset(cell.q, vq).with_nodeset(cell.qb, vqb);
-            }
-        }
+        // Operating-point seeding beyond the cells' pattern: rails up,
+        // bitlines and sense lines precharged (wordlines start low).
         for &rail in &vvdd {
-            opts = opts.with_nodeset(rail, c.vdd);
+            a.nodeset(rail, c.vdd);
         }
-        for col in 0..spec.cols {
-            for r in 0..spec.rows {
-                opts = opts
-                    .with_nodeset(bl_taps[col][r], c.vdd)
-                    .with_nodeset(blb_taps[col][r], c.vdd);
+        for (taps, tapsb) in bl_taps.iter().zip(&blb_taps) {
+            for (&t, &tb) in taps.iter().zip(tapsb) {
+                a.nodeset(t, c.vdd);
+                a.nodeset(tb, c.vdd);
             }
         }
         for &(sa, sab) in &sa_lines {
-            opts = opts.with_nodeset(sa, c.vdd).with_nodeset(sab, c.vdd);
+            a.nodeset(sa, c.vdd);
+            a.nodeset(sab, c.vdd);
         }
-        Ok(MacroBuilder {
-            ckt,
-            opts,
-            spec,
-            solver,
-            cells,
-            source_names,
-            levels,
-        })
-    }
-
-    /// MNA unknown count of the prepared netlist.
-    pub fn unknown_count(&self) -> usize {
-        self.ckt.unknown_count()
-    }
-
-    /// The DC options (pattern nodesets) the solve will use.
-    pub fn dc_options(&self) -> &DcOptions {
-        &self.opts
+        Ok(MacroBuilder { array: a, spec })
     }
 
     /// Consumes the builder, returning the bare netlist (registry decks).
     pub fn into_circuit(self) -> Circuit {
-        self.ckt
+        self.array.into_circuit()
     }
 
     /// Solves the operating point serially and finishes the macro.
@@ -523,65 +362,39 @@ impl MacroBuilder {
     /// # Errors
     ///
     /// Propagates DC non-convergence.
-    pub fn solve(mut self) -> Result<NvMacro, CircuitError> {
-        let state = operating_point(&mut self.ckt, &self.opts)?;
-        Ok(self.finish(state))
+    pub fn solve(self) -> Result<NvMacro, CircuitError> {
+        let spec = self.spec;
+        self.array.solve().map(|array| NvMacro { array, spec })
     }
 
-    fn finish(self, state: DcSolution) -> NvMacro {
-        NvMacro {
-            ckt: self.ckt,
-            spec: self.spec,
-            solver: self.solver,
-            cells: self.cells,
-            state,
-            source_names: self.source_names,
-            levels: self.levels,
-            stats: StepStats::default(),
-        }
-    }
-
-    /// Solves a batch of prepared macros in lock-step lanes (same
-    /// contract as `DomainBuilder::solve_batch`: one topology and seed
-    /// pattern per chunk, parameter values may differ).
-    pub fn solve_batch(
-        builders: Vec<MacroBuilder>,
-        batch: BatchMode,
-    ) -> Vec<Result<NvMacro, CircuitError>> {
-        let lanes = batch.lanes();
-        let mut out = Vec::with_capacity(builders.len());
-        let mut iter = builders.into_iter();
-        loop {
-            let chunk: Vec<MacroBuilder> = iter.by_ref().take(lanes).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            let opts = chunk[0].opts.clone();
-            let (mut circuits, seeds): (Vec<Circuit>, Vec<MacroBuilder>) = chunk
-                .into_iter()
-                .map(|mut b| (std::mem::replace(&mut b.ckt, Circuit::new()), b))
-                .unzip();
-            let results = batched_operating_point(&mut circuits, &opts);
-            for ((ckt, mut seed), res) in circuits.into_iter().zip(seeds).zip(results) {
-                seed.ckt = ckt;
-                out.push(res.map(|(state, _stats)| seed.finish(state)));
-            }
-        }
-        out
+    /// Consumes the builder, returning the engine's prepared netlist —
+    /// for [`ArrayBuilder::solve_batch`], which settles many same-topology
+    /// macros in lock-step lanes.
+    pub fn into_array(self) -> ArrayBuilder {
+        self.array
     }
 }
 
-/// A solved macro: cell array + periphery with per-group phase control.
+/// A solved macro: cell array + periphery. Every [`CellArray`] probe,
+/// phase and gating-group recipe is available through `Deref`.
 #[derive(Debug)]
 pub struct NvMacro {
-    ckt: Circuit,
+    array: CellArray,
     spec: MacroSpec,
-    solver: SolverChoice,
-    cells: Vec<Vec<MacroCellNodes>>,
-    state: DcSolution,
-    source_names: Vec<String>,
-    levels: Vec<f64>,
-    stats: StepStats,
+}
+
+impl Deref for NvMacro {
+    type Target = CellArray;
+
+    fn deref(&self) -> &CellArray {
+        &self.array
+    }
+}
+
+impl DerefMut for NvMacro {
+    fn deref_mut(&mut self) -> &mut CellArray {
+        &mut self.array
+    }
 }
 
 impl NvMacro {
@@ -616,74 +429,6 @@ impl NvMacro {
         &self.spec
     }
 
-    /// MNA unknown count.
-    pub fn unknown_count(&self) -> usize {
-        self.ckt.unknown_count()
-    }
-
-    /// The current DC state.
-    pub fn state(&self) -> &DcSolution {
-        &self.state
-    }
-
-    /// Total static power delivered by every source in the current state
-    /// (W).
-    pub fn static_power(&self) -> f64 {
-        self.source_names
-            .iter()
-            .zip(&self.levels)
-            .map(|(n, &v)| self.state.source_power(n, v).unwrap_or(0.0))
-            .sum()
-    }
-
-    /// Step/solver telemetry accumulated over every phase run so far.
-    pub fn step_stats(&self) -> &StepStats {
-        &self.stats
-    }
-
-    /// The latched data of cell `(row, col)` in the current state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn data(&self, row: usize, col: usize) -> bool {
-        let cell = &self.cells[row][col];
-        self.state.voltage(cell.q) > self.state.voltage(cell.qb)
-    }
-
-    /// The whole data pattern.
-    pub fn pattern(&self) -> Vec<Vec<bool>> {
-        (0..self.spec.rows)
-            .map(|r| (0..self.spec.cols).map(|c| self.data(r, c)).collect())
-            .collect()
-    }
-
-    /// Smallest `|V(Q) − V(QB)|` over all cells (V).
-    pub fn min_storage_margin(&self) -> f64 {
-        self.cells
-            .iter()
-            .flatten()
-            .map(|cell| (self.state.voltage(cell.q) - self.state.voltage(cell.qb)).abs())
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Retention-element states of cell `(row, col)` (`None` for OSR).
-    pub fn mtj_states(&self, row: usize, col: usize) -> Option<(MtjState, MtjState)> {
-        let decode = |name: String| -> Option<MtjState> {
-            let st = self.ckt.device_state(&name)?;
-            let v = st.iter().find(|(l, _)| l == "state")?.1;
-            Some(if v > 0.5 {
-                MtjState::AntiParallel
-            } else {
-                MtjState::Parallel
-            })
-        };
-        Some((
-            decode(format!("xl_r{row}c{col}"))?,
-            decode(format!("xr_r{row}c{col}"))?,
-        ))
-    }
-
     /// Terminal bias (V) across cell `(row, col)`'s Q-side retention
     /// element in the current state, `v(ctrl) − v(ml)` — the disturb
     /// drive the technology's retention model takes.
@@ -692,248 +437,9 @@ impl NvMacro {
             return None;
         }
         let g = self.spec.group_of_row(row);
-        let ctrl = self.ckt.find_node(&format!("ctrl{g}"))?;
-        let ml = self.ckt.find_node(&format!("ml_r{row}c{col}"))?;
-        Some(self.state.voltage(ctrl) - self.state.voltage(ml))
-    }
-
-    fn level_of(&self, name: &str) -> f64 {
-        let idx = self
-            .source_names
-            .iter()
-            .position(|n| n == name)
-            .unwrap_or_else(|| panic!("unknown source {name}"));
-        self.levels[idx]
-    }
-
-    fn ramp(&self, name: &str, to: f64) -> (String, Waveform) {
-        let from = self.level_of(name);
-        let e = self.spec.design.conditions.edge_time;
-        (name.to_owned(), Waveform::Pwl(vec![(0.0, from), (e, to)]))
-    }
-
-    /// Runs a phase of `duration` with waveform overrides (the
-    /// `DomainArray` phase contract: sources freeze at their end values,
-    /// energy integrates over every source).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    pub fn phase(
-        &mut self,
-        duration: f64,
-        waves: &[(String, Waveform)],
-    ) -> Result<MacroPhase, CircuitError> {
-        for (src, wave) in waves {
-            self.ckt.set_source(src, wave.clone())?;
-        }
-        let opts = TransientOptions {
-            t_stop: duration,
-            dt_max: (duration / 100.0).clamp(1e-12, 200e-12),
-            dt_init: 1e-12,
-            device_bypass_tol: 1e-6,
-            solver: self.solver,
-            ..TransientOptions::default()
-        };
-        let result = transient(&mut self.ckt, &opts, &self.state)?;
-        self.stats += result.steps;
-        self.state = result.final_state;
-        for (src, wave) in waves {
-            let end = wave.value(duration);
-            self.ckt.set_source(src, end)?;
-            let idx = self
-                .source_names
-                .iter()
-                .position(|n| n == src)
-                .expect("known source");
-            self.levels[idx] = end;
-        }
-        let mut energy = 0.0;
-        for name in &self.source_names {
-            energy += result
-                .trace
-                .integral(&format!("p({name})"))
-                .expect("power signal recorded");
-        }
-        Ok(MacroPhase {
-            energy: Joules(energy),
-            duration: Seconds(duration),
-        })
-    }
-
-    fn assert_nv(&self, what: &str) {
-        assert!(
-            self.spec.kind.is_nonvolatile(),
-            "OSR macros have no retention elements to {what}"
-        );
-    }
-
-    fn assert_groups(&self, groups: &[usize]) {
-        let n = self.spec.groups();
-        for &g in groups {
-            assert!(g < n, "gating group {g} out of range (macro has {n})");
-        }
-    }
-
-    /// Two-step store of the listed gating groups (H-store, L-store,
-    /// lines back down) — same waveform shape as `DomainArray::store`,
-    /// applied only to those groups' SR/CTRL pairs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an OSR macro or an out-of-range group index.
-    pub fn store(&mut self, groups: &[usize]) -> Result<MacroPhase, CircuitError> {
-        self.assert_nv("store");
-        self.assert_groups(groups);
-        let c = self.spec.design.conditions;
-        let t = c.store_duration;
-        // Each phase's ramps must read the *current* source levels, so
-        // the waveform lists are built just before each phase runs.
-        let mut total = MacroPhase::zero();
-        let w1: Vec<_> = groups
-            .iter()
-            .flat_map(|&g| {
-                [
-                    self.ramp(&format!("vsr{g}"), c.v_sr),
-                    self.ramp(&format!("vctrl{g}"), 0.0),
-                ]
-            })
-            .collect();
-        total.add(self.phase(t, &w1)?);
-        let w2: Vec<_> = groups
-            .iter()
-            .map(|&g| self.ramp(&format!("vctrl{g}"), c.v_ctrl_store))
-            .collect();
-        total.add(self.phase(t, &w2)?);
-        let w3: Vec<_> = groups
-            .iter()
-            .flat_map(|&g| {
-                [
-                    self.ramp(&format!("vsr{g}"), 0.0),
-                    self.ramp(&format!("vctrl{g}"), 0.0),
-                ]
-            })
-            .collect();
-        total.add(self.phase(1e-9, &w3)?);
-        Ok(total)
-    }
-
-    /// Powers the listed gating groups off (super cutoff when
-    /// `super_cutoff`). Bitlines stay precharged — awake banks keep using
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an OSR macro or an out-of-range group index.
-    pub fn shutdown(
-        &mut self,
-        groups: &[usize],
-        super_cutoff: bool,
-    ) -> Result<MacroPhase, CircuitError> {
-        self.assert_nv("power off");
-        self.assert_groups(groups);
-        let c = self.spec.design.conditions;
-        let v_pg = if super_cutoff {
-            c.v_pg_super
-        } else {
-            c.v_pg_off
-        };
-        let waves: Vec<_> = groups
-            .iter()
-            .map(|&g| self.ramp(&format!("vpg{g}"), v_pg))
-            .collect();
-        self.phase(2e-9, &waves)
-    }
-
-    /// Lets the macro sit for `duration` in its current mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    pub fn hold(&mut self, duration: f64) -> Result<MacroPhase, CircuitError> {
-        self.phase(duration, &[])
-    }
-
-    /// Enters the low-voltage retention (sleep) mode macro-wide.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    pub fn sleep(&mut self) -> Result<MacroPhase, CircuitError> {
-        let c = self.spec.design.conditions;
-        let mut waves = vec![self.ramp("vdd", c.vdd_sleep)];
-        if self.spec.kind.is_nonvolatile() {
-            for g in 0..self.spec.groups() {
-                waves.push(self.ramp(&format!("vctrl{g}"), c.v_ctrl_sleep));
-            }
-        }
-        self.phase(2e-9, &waves)
-    }
-
-    /// Returns from sleep to normal mode macro-wide.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    pub fn wake(&mut self) -> Result<MacroPhase, CircuitError> {
-        let c = self.spec.design.conditions;
-        let mut waves = vec![self.ramp("vdd", c.vdd)];
-        if self.spec.kind.is_nonvolatile() {
-            for g in 0..self.spec.groups() {
-                waves.push(self.ramp(&format!("vctrl{g}"), c.v_ctrl_normal));
-            }
-        }
-        self.phase(2e-9, &waves)
-    }
-
-    /// Restores the listed gating groups: SR on, slow header turn-on, SR
-    /// off, CTRL back to normal (the `DomainArray::restore` recipe, per
-    /// group).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an OSR macro or an out-of-range group index.
-    pub fn restore(&mut self, groups: &[usize]) -> Result<MacroPhase, CircuitError> {
-        self.assert_nv("restore");
-        self.assert_groups(groups);
-        let c = self.spec.design.conditions;
-        let dur = c.restore_duration;
-        let e = c.edge_time;
-        let mut waves = Vec::new();
-        for &g in groups {
-            let sr = Waveform::Pwl(vec![
-                (0.0, self.level_of(&format!("vsr{g}"))),
-                (e, c.v_sr),
-                (0.7 * dur, c.v_sr),
-                (0.7 * dur + e, 0.0),
-            ]);
-            let pg = Waveform::Pwl(vec![
-                (0.0, self.level_of(&format!("vpg{g}"))),
-                (0.05 * dur, self.level_of(&format!("vpg{g}"))),
-                (0.45 * dur, 0.0),
-            ]);
-            let ctrl = Waveform::Pwl(vec![
-                (0.0, self.level_of(&format!("vctrl{g}"))),
-                (0.7 * dur, self.level_of(&format!("vctrl{g}"))),
-                (0.7 * dur + e, c.v_ctrl_normal),
-            ]);
-            waves.push((format!("vsr{g}"), sr));
-            waves.push((format!("vpg{g}"), pg));
-            waves.push((format!("vctrl{g}"), ctrl));
-        }
-        self.phase(dur, &waves)
+        let ctrl = self.circuit().find_node(&format!("ctrl{g}"))?;
+        let ml = self.circuit().find_node(&format!("ml_r{row}c{col}"))?;
+        Some(self.state().voltage(ctrl) - self.state().voltage(ml))
     }
 
     /// Pulses the selected row's wordline (a read access): row select
@@ -944,7 +450,7 @@ impl NvMacro {
     /// # Errors
     ///
     /// Propagates transient non-convergence.
-    pub fn access_read(&mut self) -> Result<MacroPhase, CircuitError> {
+    pub fn access_read(&mut self) -> Result<ArrayPhase, CircuitError> {
         let c = self.spec.design.conditions;
         let t = c.cycle_time();
         let e = c.edge_time;
@@ -998,10 +504,7 @@ impl NvMacro {
 mod tests {
     use super::*;
     use crate::spec::Granularity;
-
-    fn checkerboard(r: usize, c: usize) -> bool {
-        (r + c).is_multiple_of(2)
-    }
+    use nvpg_cells::array::checkerboard;
 
     #[test]
     fn small_macro_builds_and_holds_pattern() {
@@ -1023,6 +526,47 @@ mod tests {
     fn degenerate_specs_error_out() {
         let err = NvMacro::new(MacroSpec::new(0, 4, 2), checkerboard).unwrap_err();
         assert!(matches!(err, CircuitError::InvalidValue { .. }));
+        // A group whose header fin count would overflow the u32 width
+        // model (7 fins/cell × 2^31 cells) is refused before any cell is
+        // stamped, not wrapped into a weak switch.
+        let spec = MacroSpec::new(1 << 16, 1 << 15, 1);
+        match MacroBuilder::prepare(spec, SolverChoice::Auto, checkerboard).unwrap_err() {
+            CircuitError::InvalidValue { element, reason } => {
+                assert_eq!(element, "msw");
+                assert!(reason.contains("header fins"), "{reason}");
+            }
+            other => panic!("expected InvalidValue, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn row_serialised_store_costs_the_characterised_cell_energy() {
+        // The per-cell composition's premise: storing and gating a
+        // per-row macro one row at a time costs each cell about the
+        // characterised single-cell store (the waiting rows' static power
+        // is small here).
+        let spec = MacroSpec::new(2, 2, 1).with_granularity(Granularity::PerRow);
+        let ch = nvpg_cells::characterize::characterize(&spec.design).unwrap();
+        let mut m = NvMacro::new(spec, |_, _| true).unwrap();
+        let mut energy = 0.0;
+        for g in 0..spec.groups() {
+            energy += m.store(&[g]).unwrap().energy.value();
+            energy += m.shutdown(&[g], true).unwrap().energy.value();
+        }
+        let ratio = energy / m.cell_count() as f64 / ch.e_store;
+        assert!(
+            (0.3..3.0).contains(&ratio),
+            "macro per-cell store vs single-cell {:e} (ratio {ratio:.3})",
+            ch.e_store
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gating group 5 out of range")]
+    fn group_recipes_bounds_check_the_group() {
+        let spec = MacroSpec::new(2, 2, 1).with_granularity(Granularity::PerRow);
+        let mut m = NvMacro::new(spec, checkerboard).unwrap();
+        let _ = m.store(&[5]);
     }
 
     #[test]

@@ -13,16 +13,13 @@
 //! one a transient would walk away from at a backend-rounding-dependent
 //! instant.
 
+use nvpg_cells::array::checkerboard;
 use nvpg_cells::domain::DomainKind;
 use nvpg_circuit::registry::DeckSpec;
 use nvpg_circuit::{Circuit, SolverChoice};
 
 use crate::build::MacroBuilder;
 use crate::spec::{Granularity, MacroSpec};
-
-fn checkerboard(r: usize, c: usize) -> bool {
-    (r + c).is_multiple_of(2)
-}
 
 fn build(spec: MacroSpec) -> Circuit {
     MacroBuilder::prepare(spec, SolverChoice::Auto, checkerboard)

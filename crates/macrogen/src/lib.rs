@@ -31,6 +31,6 @@ pub mod build;
 pub mod decks;
 pub mod spec;
 
-pub use build::{MacroBuilder, MacroPhase, NvMacro};
+pub use build::{MacroBuilder, NvMacro};
 pub use decks::macro_decks;
 pub use spec::{Granularity, MacroSpec};

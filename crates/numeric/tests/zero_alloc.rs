@@ -3,17 +3,42 @@
 //! buffers, and every subsequent solve at the same dimension reuses them.
 //!
 //! The check uses a counting global allocator, so this lives in its own
-//! integration-test binary.
+//! integration-test binary. The allocator counts only on the measuring
+//! thread, so libtest's own threads and sibling tests running in parallel
+//! never land in a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use nvpg_numeric::{
     CscMatrix, DenseMatrix, NewtonOptions, NewtonSolver, NonlinearSystem, PatternBuilder, SparseLu,
     SparsePattern,
 };
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made on this thread inside a measured window; `None`
+    /// outside one. `const`-initialised and drop-free, so reading it from
+    /// the allocator never allocates.
+    static MEASURED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = MEASURED.try_with(|m| {
+        if let Some(n) = m.get() {
+            m.set(Some(n + 1));
+        }
+    });
+}
+
+/// Runs `f` and returns the number of allocations it made on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    MEASURED.with(|m| m.set(Some(0)));
+    f();
+    MEASURED
+        .with(Cell::take)
+        .expect("measured window still open")
+}
 
 struct CountingAllocator;
 
@@ -21,17 +46,17 @@ struct CountingAllocator;
 // only a counter is added.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -42,6 +67,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+#[test]
+fn allocations_inside_the_window_are_counted() {
+    let allocs = allocations_in(|| {
+        std::hint::black_box(Vec::<u64>::with_capacity(16));
+    });
+    assert_eq!(allocs, 1, "a deliberate allocation must be counted");
+}
 
 /// A dense nonlinear system with the flavour of an MNA stamp: diagonally
 /// dominant linear part plus a cubic diagonal nonlinearity. When
@@ -141,21 +174,19 @@ fn newton_solve_allocates_nothing_after_warmup() {
     // Warm-up: sizes every internal buffer for dimension `n`.
     assert!(solver.solve(&mut system, &mut x).is_converged());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for round in 0..10 {
-        // Perturb so each solve genuinely iterates.
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi += 0.3 * (1.0 + (round + i) as f64 * 0.01);
+    let allocs = allocations_in(|| {
+        for round in 0..10 {
+            // Perturb so each solve genuinely iterates.
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi += 0.3 * (1.0 + (round + i) as f64 * 0.01);
+            }
+            assert!(solver.solve(&mut system, &mut x).is_converged());
         }
-        assert!(solver.solve(&mut system, &mut x).is_converged());
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    });
 
     assert_eq!(
-        after - before,
-        0,
-        "Newton hot path allocated {} time(s) after warm-up",
-        after - before
+        allocs, 0,
+        "Newton hot path allocated {allocs} time(s) after warm-up"
     );
     assert!(solver.total_iterations() > 10);
 }
@@ -175,20 +206,18 @@ fn modified_newton_stale_path_allocates_nothing_after_warmup() {
     let mut x = vec![0.5; n];
     assert!(solver.solve(&mut system, &mut x).is_converged());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for round in 0..10 {
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi += 0.1 * (1.0 + (round + i) as f64 * 0.01);
+    let allocs = allocations_in(|| {
+        for round in 0..10 {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi += 0.1 * (1.0 + (round + i) as f64 * 0.01);
+            }
+            assert!(solver.solve(&mut system, &mut x).is_converged());
         }
-        assert!(solver.solve(&mut system, &mut x).is_converged());
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    });
 
     assert_eq!(
-        after - before,
-        0,
-        "modified-Newton stale path allocated {} time(s) after warm-up",
-        after - before
+        allocs, 0,
+        "modified-Newton stale path allocated {allocs} time(s) after warm-up"
     );
     // The stale-LU path actually ran: iterations were served without a
     // refactorisation.
@@ -218,20 +247,18 @@ fn sparse_newton_allocates_nothing_after_symbolic_analysis() {
     // reach sets, factor storage) and sizes every buffer.
     assert!(solver.solve(&mut system, &mut x).is_converged());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for round in 0..10 {
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi += 0.3 * (1.0 + (round + i) as f64 * 0.01);
+    let allocs = allocations_in(|| {
+        for round in 0..10 {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi += 0.3 * (1.0 + (round + i) as f64 * 0.01);
+            }
+            assert!(solver.solve(&mut system, &mut x).is_converged());
         }
-        assert!(solver.solve(&mut system, &mut x).is_converged());
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    });
 
     assert_eq!(
-        after - before,
-        0,
-        "sparse Newton hot path allocated {} time(s) after symbolic analysis",
-        after - before
+        allocs, 0,
+        "sparse Newton hot path allocated {allocs} time(s) after symbolic analysis"
     );
     // The hot path genuinely refactored into the preallocated buffers
     // rather than re-running the full (repivoting) factorisation.
@@ -261,20 +288,18 @@ fn sparse_modified_newton_stale_path_allocates_nothing() {
     let mut x = vec![0.5; n];
     assert!(solver.solve(&mut system, &mut x).is_converged());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for round in 0..10 {
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi += 0.1 * (1.0 + (round + i) as f64 * 0.01);
+    let allocs = allocations_in(|| {
+        for round in 0..10 {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi += 0.1 * (1.0 + (round + i) as f64 * 0.01);
+            }
+            assert!(solver.solve(&mut system, &mut x).is_converged());
         }
-        assert!(solver.solve(&mut system, &mut x).is_converged());
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    });
 
     assert_eq!(
-        after - before,
-        0,
-        "sparse modified-Newton stale path allocated {} time(s) after warm-up",
-        after - before
+        allocs, 0,
+        "sparse modified-Newton stale path allocated {allocs} time(s) after warm-up"
     );
     assert!(
         solver.refactorizations_avoided() > 0,
@@ -317,18 +342,15 @@ fn sparse_lu_refactor_and_solve_allocate_nothing() {
     let b = vec![1.0; n];
     let mut x = vec![0.0; n];
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for round in 0..10 {
-        fill(&mut a, round as f64 * 0.1);
-        lu.factor(&a).expect("nonsingular");
-        lu.solve_into(&b, &mut x);
-        lu.solve_neg_into(&b, &mut x);
-    }
-    assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
-        0,
-        "SparseLu refactor/solve cycle allocated"
-    );
+    let allocs = allocations_in(|| {
+        for round in 0..10 {
+            fill(&mut a, round as f64 * 0.1);
+            lu.factor(&a).expect("nonsingular");
+            lu.solve_into(&b, &mut x);
+            lu.solve_neg_into(&b, &mut x);
+        }
+    });
+    assert_eq!(allocs, 0, "SparseLu refactor/solve cycle allocated");
     assert_eq!(lu.full_factorizations(), 1);
     assert_eq!(lu.refactorizations(), 10);
     assert!(x.iter().all(|v| v.is_finite()));
@@ -367,21 +389,18 @@ fn batched_dense_newton_allocates_nothing_after_setup() {
     // Warm-up round, then the steady state must be allocation-free: no
     // per-iteration or per-lane heap traffic.
     newton.solve(&mut systems, &mut x, &mut outcomes);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for round in 0..10 {
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi += 0.3 * (1.0 + (round + i % 7) as f64 * 0.01);
+    let allocs = allocations_in(|| {
+        for round in 0..10 {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi += 0.3 * (1.0 + (round + i % 7) as f64 * 0.01);
+            }
+            newton.solve(&mut systems, &mut x, &mut outcomes);
+            assert!(outcomes
+                .iter()
+                .all(|o| matches!(o, LaneOutcome::Converged { .. })));
         }
-        newton.solve(&mut systems, &mut x, &mut outcomes);
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, LaneOutcome::Converged { .. })));
-    }
-    assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
-        0,
-        "batched dense Newton steady state allocated"
-    );
+    });
+    assert_eq!(allocs, 0, "batched dense Newton steady state allocated");
 }
 
 #[test]
@@ -415,21 +434,18 @@ fn batched_sparse_newton_allocates_nothing_after_setup() {
     // Warm-up: the first factor phase anchors the shared symbolic
     // analysis and allocates the per-lane L/U value stacks.
     newton.solve(&mut systems, &mut x, &mut outcomes);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for round in 0..10 {
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi += 0.3 * (1.0 + (round + i % 5) as f64 * 0.01);
+    let allocs = allocations_in(|| {
+        for round in 0..10 {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi += 0.3 * (1.0 + (round + i % 5) as f64 * 0.01);
+            }
+            newton.solve(&mut systems, &mut x, &mut outcomes);
+            assert!(outcomes
+                .iter()
+                .all(|o| matches!(o, LaneOutcome::Converged { .. })));
         }
-        newton.solve(&mut systems, &mut x, &mut outcomes);
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, LaneOutcome::Converged { .. })));
-    }
-    assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
-        0,
-        "batched sparse Newton steady state allocated"
-    );
+    });
+    assert_eq!(allocs, 0, "batched sparse Newton steady state allocated");
     // One symbolic analysis served every lane of every round.
     assert_eq!(newton.solver().sparse_lu().full_factorizations(), 1);
     assert!(newton.solver().sparse_lu().refactorizations() >= lanes as u64 * 10);
@@ -454,31 +470,25 @@ fn lu_solve_into_allocates_nothing() {
     // `LuFactors::solve_into`: factor once (allocates), then solve
     // repeatedly into a caller buffer with zero allocations.
     let factors = a.lu().expect("nonsingular");
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..10 {
-        factors.solve_into(&b, &mut x);
-    }
-    assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
-        0,
-        "LuFactors::solve_into allocated"
-    );
+    let allocs = allocations_in(|| {
+        for _ in 0..10 {
+            factors.solve_into(&b, &mut x);
+        }
+    });
+    assert_eq!(allocs, 0, "LuFactors::solve_into allocated");
     assert!(x.iter().all(|v| v.is_finite() && *v != 0.0));
 
     // `LuWorkspace`: after the first factorisation sizes the buffers,
     // refactor + solve cycles allocate nothing.
     let mut ws = LuWorkspace::with_dim(n);
     ws.factor_from(&a).expect("nonsingular");
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for round in 0..10 {
-        a[(0, 0)] = 4.0 + round as f64 * 0.1;
-        ws.factor_from(&a).expect("nonsingular");
-        ws.solve_into(&b, &mut x);
-        ws.solve_neg_into(&b, &mut x);
-    }
-    assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
-        0,
-        "LuWorkspace factor/solve cycle allocated"
-    );
+    let allocs = allocations_in(|| {
+        for round in 0..10 {
+            a[(0, 0)] = 4.0 + round as f64 * 0.1;
+            ws.factor_from(&a).expect("nonsingular");
+            ws.solve_into(&b, &mut x);
+            ws.solve_neg_into(&b, &mut x);
+        }
+    });
+    assert_eq!(allocs, 0, "LuWorkspace factor/solve cycle allocated");
 }

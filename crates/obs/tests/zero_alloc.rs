@@ -4,9 +4,12 @@
 //! demonstrates feeding the `alloc.*` metrics when tracing is on.
 //!
 //! Integration test (own process) so the `#[global_allocator]` cannot
-//! interfere with the unit-test binary.
+//! interfere with the unit-test binary. Allocations are counted only on
+//! the measuring thread, so libtest's own threads never land in a
+//! measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -20,13 +23,26 @@ fn lock() -> MutexGuard<'static, ()> {
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made on this thread inside a measured window; `None`
+    /// outside one. `const`-initialised and drop-free, so reading it from
+    /// the allocator never allocates.
+    static MEASURED: Cell<Option<u64>> = const { Cell::new(None) };
+}
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static FEED_METRICS: AtomicBool = AtomicBool::new(false);
 
+// SAFETY: delegates every operation to the system allocator unchanged;
+// only counters are added.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the allocator also runs while thread-locals are torn
+        // down.
+        let _ = MEASURED.try_with(|m| {
+            if let Some(n) = m.get() {
+                m.set(Some(n + 1));
+            }
+        });
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         if FEED_METRICS.load(Ordering::Relaxed) {
             nvpg_obs::metrics::counters::ALLOC_COUNT.add(1);
@@ -43,8 +59,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+/// Runs `f` and returns the number of allocations it made on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    MEASURED.with(|m| m.set(Some(0)));
+    f();
+    MEASURED
+        .with(Cell::take)
+        .expect("measured window still open")
+}
+
+#[test]
+fn allocations_inside_the_window_are_counted() {
+    let allocs = allocations_in(|| {
+        std::hint::black_box(Vec::<u64>::with_capacity(16));
+    });
+    assert_eq!(allocs, 1, "a deliberate allocation must be counted");
 }
 
 #[test]
@@ -59,23 +88,22 @@ fn disabled_tracing_hot_path_never_allocates() {
         let _ = nvpg_obs::current_span();
     }
 
-    let before = allocs();
-    for _ in 0..10_000 {
-        let g = nvpg_obs::span_labeled("solve", "transient");
-        nvpg_obs::metrics::counters::NEWTON_ITERATIONS.add(3);
-        nvpg_obs::metrics::counters::DEVICE_EVALS.add(40);
-        nvpg_obs::metrics::gauges::MAX_LTE_RATIO.max(0.7);
-        let parent = nvpg_obs::current_span();
-        nvpg_obs::with_parent(parent, || {
-            let inner = nvpg_obs::span("inner");
-            drop(inner);
-        });
-        drop(g);
-    }
-    let after = allocs();
+    let allocs = allocations_in(|| {
+        for _ in 0..10_000 {
+            let g = nvpg_obs::span_labeled("solve", "transient");
+            nvpg_obs::metrics::counters::NEWTON_ITERATIONS.add(3);
+            nvpg_obs::metrics::counters::DEVICE_EVALS.add(40);
+            nvpg_obs::metrics::gauges::MAX_LTE_RATIO.max(0.7);
+            let parent = nvpg_obs::current_span();
+            nvpg_obs::with_parent(parent, || {
+                let inner = nvpg_obs::span("inner");
+                drop(inner);
+            });
+            drop(g);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocs, 0,
         "disabled span/counter operations must not allocate"
     );
     assert_eq!(nvpg_obs::metrics::counters::NEWTON_ITERATIONS.get(), 0);
