@@ -3,9 +3,9 @@
 //! [`Experiments`] caches the (simulation-derived) cell characterisation
 //! and exposes a `figN…` method per figure returning a plot-ready
 //! [`Figure`] (labelled series of `(x, y)` points). The `figures` binary
-//! in `nvpg-bench` renders these to text/CSV; the Criterion benches time
-//! them; the integration tests assert the paper's qualitative shapes on
-//! them.
+//! in `nvpg-bench` renders these to text/CSV; the `perfbench` harness
+//! times them; the integration tests assert the paper's qualitative
+//! shapes on them.
 
 use nvpg_cells::characterize::{
     characterize_cached, leakage_vs_vctrl, static_power_by_mode, store_current_vs_vctrl,

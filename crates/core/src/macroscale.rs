@@ -420,6 +420,48 @@ mod tests {
     }
 
     #[test]
+    fn scan_answers_a_finite_bet_for_every_technology() {
+        let granularities = [
+            Granularity::PerDomain,
+            Granularity::PerBank(2),
+            Granularity::PerRow,
+        ];
+        let points = bet_macro_scan(
+            4,
+            4,
+            2,
+            &granularities,
+            &nvpg_cells::RetentionKind::LABELS,
+            &BenchmarkParams::fig7_default(),
+            1,
+            BatchMode::Auto,
+        )
+        .unwrap();
+        assert_eq!(points.len(), 18, "3 granularities × 3 technologies × 2");
+        for p in &points {
+            assert!(
+                p.static_power.is_finite() && p.static_power > 0.0 && p.unknowns > 0,
+                "degenerate scan point {}/{}/{}: {} unknowns, {:e} W",
+                p.arch,
+                p.technology,
+                p.granularity,
+                p.unknowns,
+                p.static_power
+            );
+        }
+        for tech in nvpg_cells::RetentionKind::LABELS {
+            for arch in [Architecture::Nvpg, Architecture::Nof] {
+                assert!(
+                    points
+                        .iter()
+                        .any(|p| p.technology == tech && p.arch == arch && p.bet.is_some()),
+                    "no finite BET for {arch}/{tech} at any granularity"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn scan_rejects_unknown_technology() {
         let err = bet_macro_scan(
             2,

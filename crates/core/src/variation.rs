@@ -573,6 +573,19 @@ mod tests {
         assert_eq!(reference, run(BatchMode::Fixed(3), 1));
         assert_eq!(reference, run(BatchMode::Fixed(3), 4));
         assert_eq!(reference, run(BatchMode::Auto, 8));
+
+        // A 4×4 domain at the default spread, 16 samples: batched lanes
+        // reproduce the serial outcomes.
+        let spec = VariationSpec {
+            samples: 16,
+            ..VariationSpec::default()
+        };
+        let run4 = |batch| {
+            run_domain_variation(&base, &spec, DomainKind::Nvpg, 4, 4, None, batch, 1)
+                .unwrap()
+                .0
+        };
+        assert_eq!(run4(BatchMode::Serial), run4(BatchMode::Auto));
     }
 
     #[test]

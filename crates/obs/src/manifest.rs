@@ -51,7 +51,7 @@ impl HostInfo {
 /// Provenance record for one traced run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunManifest {
-    /// Producing tool (`"figures"`, `"bench_pr3"`, …).
+    /// Producing tool (`"figures"`, …).
     pub tool: String,
     /// The producing crate's version.
     pub version: String,

@@ -67,9 +67,13 @@ fn main() {
                 Ok(n) => config.jobs = n,
                 Err(_) => usage(),
             },
-            "--cache-mb" => match value("--cache-mb").parse::<usize>() {
-                Ok(mb) => config.cache_bytes = mb << 20,
-                Err(_) => usage(),
+            "--cache-mb" => match value("--cache-mb")
+                .parse::<usize>()
+                .ok()
+                .and_then(|mb| mb.checked_mul(1 << 20))
+            {
+                Some(bytes) => config.cache_bytes = bytes,
+                None => usage(),
             },
             "--queue-depth" => match value("--queue-depth").parse() {
                 Ok(n) => config.queue_depth = n,
