@@ -2,15 +2,15 @@
 //!
 //! ```text
 //! figures [IDS...] [--only ID] [--jobs N] [--csv DIR] [--svg DIR]
-//!         [--report FILE] [--full] [--strict]
+//!         [--report FILE] [--full] [--macro] [--strict]
 //!         [--solver auto|dense|sparse]
-//!         [--batch auto|serial|N]
 //!         [--fault-rate R] [--fault-seed S]
 //!         [--trace] [--profile] [--trace-dir DIR]
 //! ```
 //!
 //! With no ids, all figures are produced in paper order. Ids can be given
-//! positionally or via repeatable `--only` flags (comma lists accepted).
+//! positionally or via repeatable `--only` flags (comma lists accepted);
+//! any other argument starting with `-` is rejected as an unknown flag.
 //! `--jobs N` sets the worker-pool width for both the figure fan-out and
 //! the per-figure sweeps (default: available parallelism; `1` forces a
 //! serial run). Output is byte-identical for every `--jobs` value:
@@ -21,13 +21,6 @@
 //! sparse above the unknown-count threshold; `dense`/`sparse` force one
 //! backend everywhere. The choice is installed once at startup and is a
 //! process-wide default, so output stays byte-identical at any `--jobs`.
-//!
-//! `--batch` sets the process-default batch mode consulted by the
-//! batched sweep drivers (`BatchMode::Auto`): `auto` (default) solves
-//! same-topology point sets as 64-lane lock-step stacks sharing one
-//! symbolic analysis, `serial` restores one solver per point, `N`
-//! forces the lane width. Results are identical in every mode — the
-//! flag trades wall-clock, not answers.
 //!
 //! The run is **fail-soft by default**: a figure whose simulation fails
 //! (or panics) becomes a gap, the remaining figures still render, and a
@@ -134,13 +127,6 @@ fn main() -> Result<(), Box<dyn Error>> {
                 let choice: SolverChoice = s.parse().map_err(|e| format!("{e}"))?;
                 nvpg_circuit::set_default_solver(choice);
             }
-            "--batch" => {
-                let s = args
-                    .next()
-                    .ok_or("--batch requires auto, serial, or a lane count")?;
-                let mode: nvpg_circuit::BatchMode = s.parse().map_err(|e| format!("{e}"))?;
-                nvpg_circuit::set_default_batch(mode);
-            }
             "--full" => full = true,
             "--macro" => with_macro = true,
             "--strict" => strict = true,
@@ -171,7 +157,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                     "usage: figures [IDS...] [--only ID] [--jobs N] [--csv DIR] [--svg DIR] \
                      [--report FILE] [--full] [--macro] [--strict] \
                      [--solver auto|dense|sparse] \
-                     [--batch auto|serial|N] [--fault-rate R] [--fault-seed S] \
+                     [--fault-rate R] [--fault-seed S] \
                      [--trace] [--profile] [--trace-dir DIR]"
                 );
                 println!(
@@ -182,6 +168,9 @@ fn main() -> Result<(), Box<dyn Error>> {
                     MACRO_FIGURE_IDS.join(" ")
                 );
                 return Ok(());
+            }
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown flag `{flag}`").into());
             }
             other => {
                 ids.insert(other.to_owned());

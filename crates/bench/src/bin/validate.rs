@@ -6,8 +6,8 @@
 //! ```
 //!
 //! * `--check` (the default) runs, in order: the full differential
-//!   matrix (dense×sparse × serial×batched, DC + transient, plus the
-//!   jobs-invariance bit-compare), the committed-golden comparison for
+//!   matrix (dense×sparse × serial×shared-workspace, DC + transient, plus
+//!   the jobs-invariance bit-compare), the committed-golden comparison for
 //!   every registry deck, `--random N` seeded random-netlist
 //!   equivalence points, a `--fuzz N`-iteration mutation smoke loop
 //!   over the hostile corpus, and — when an `ngspice` binary is on

@@ -1,6 +1,7 @@
-//! Tracing contract of the `figures` binary: tracing and profiling leave
-//! stdout byte-identical, and the trace directory holds a schema-valid,
-//! non-empty trace, a manifest and collapsed stacks.
+//! Command-line contract of the `figures` binary: tracing and profiling
+//! leave stdout byte-identical, the trace directory holds a schema-valid,
+//! non-empty trace, a manifest and collapsed stacks, and an unknown flag
+//! is reported as a flag.
 
 use std::path::Path;
 use std::process::Command;
@@ -49,4 +50,16 @@ fn tracing_leaves_stdout_identical_and_writes_a_valid_trace() {
     assert!(summary.counters > 0, "trace holds no counters");
     assert!(manifest_ok, "manifest.json missing or empty");
     assert!(folded_ok, "profile.folded missing or empty");
+}
+
+#[test]
+fn unknown_flag_is_reported_as_a_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--batch", "auto"])
+        .output()
+        .expect("run figures");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "`--batch auto` ran: {stderr}");
+    assert!(stderr.contains("unknown flag `--batch`"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a figure ran before the usage error");
 }

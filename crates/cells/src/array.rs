@@ -15,8 +15,7 @@
 
 use std::ops::AddAssign;
 
-use nvpg_circuit::batched::{batched_operating_point, BatchMode};
-use nvpg_circuit::dc::{operating_point, DcOptions};
+use nvpg_circuit::dc::{operating_point, operating_points, DcOptions};
 use nvpg_circuit::transient::{transient, TransientOptions};
 use nvpg_circuit::{Circuit, CircuitError, DcSolution, NodeId, SolverChoice, StepStats, Waveform};
 use nvpg_devices::finfet::FinFet;
@@ -91,10 +90,10 @@ struct Group {
 /// order the builder's netlist needs: node and device order fix the MNA
 /// layout, so they are part of each builder's answer.
 ///
-/// [`solve`](Self::solve) settles the operating point serially;
+/// [`solve`](Self::solve) settles one operating point;
 /// [`solve_batch`](Self::solve_batch) settles many same-topology
-/// builders — one per parameter point — in lock-step lanes of an
-/// [`nvpg_circuit::batched`] stack instead of one Newton run per point.
+/// builders — one per parameter point — on one shared Newton workspace
+/// ([`operating_points`]).
 #[derive(Debug)]
 pub struct ArrayBuilder {
     ckt: Circuit,
@@ -324,40 +323,33 @@ impl ArrayBuilder {
         }
     }
 
-    /// Solves a batch of prepared arrays, `batch.lanes()` lock-step lanes
-    /// at a time, returning per-array results in input order.
+    /// Solves a batch of prepared arrays on one shared Newton workspace
+    /// ([`operating_points`]), returning per-array results in input order.
     ///
-    /// All builders must share one topology *and one seed pattern* (the
-    /// DC nodesets of the first builder in each chunk drive the whole
-    /// chunk); only device parameter values may differ, which is exactly
-    /// the Monte-Carlo/thermal-scan shape. A chunk whose unknown counts
-    /// disagree falls back to per-point serial solving inside
-    /// [`batched_operating_point`], so the call is always safe — just
-    /// slower than it could be.
-    pub fn solve_batch(
-        builders: Vec<ArrayBuilder>,
-        batch: BatchMode,
-    ) -> Vec<Result<CellArray, CircuitError>> {
-        let lanes = batch.lanes();
-        let mut out = Vec::with_capacity(builders.len());
-        let mut iter = builders.into_iter();
-        loop {
-            let chunk: Vec<ArrayBuilder> = iter.by_ref().take(lanes).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            let opts = chunk[0].opts.clone();
-            let (mut circuits, seeds): (Vec<Circuit>, Vec<ArrayBuilder>) = chunk
-                .into_iter()
-                .map(|mut b| (std::mem::replace(&mut b.ckt, Circuit::new()), b))
-                .unzip();
-            let results = batched_operating_point(&mut circuits, &opts);
-            for ((ckt, mut seed), res) in circuits.into_iter().zip(seeds).zip(results) {
+    /// All builders must share one topology *and one seed pattern*: the
+    /// DC nodesets of the first builder drive every point. Only device
+    /// parameter values may differ, which is exactly the
+    /// Monte-Carlo/thermal-scan shape. A builder whose unknown count
+    /// differs is solved on a workspace of its own, so the call is always
+    /// safe.
+    pub fn solve_batch(builders: Vec<ArrayBuilder>) -> Vec<Result<CellArray, CircuitError>> {
+        let Some(opts) = builders.first().map(|b| b.opts.clone()) else {
+            return Vec::new();
+        };
+        let (mut circuits, seeds): (Vec<Circuit>, Vec<ArrayBuilder>) = builders
+            .into_iter()
+            .map(|mut b| (std::mem::replace(&mut b.ckt, Circuit::new()), b))
+            .unzip();
+        let results = operating_points(&mut circuits, &opts);
+        circuits
+            .into_iter()
+            .zip(seeds)
+            .zip(results)
+            .map(|((ckt, mut seed), res)| {
                 seed.ckt = ckt;
-                out.push(res.map(|(state, _stats)| seed.finish(state)));
-            }
-        }
-        out
+                res.map(|(state, _stats)| seed.finish(state))
+            })
+            .collect()
     }
 }
 

@@ -255,7 +255,6 @@ impl DomainArray {
 mod tests {
     use super::*;
     use crate::array::checkerboard;
-    use nvpg_circuit::batched::BatchMode;
     use nvpg_devices::mtj::MtjState;
 
     #[test]
@@ -399,44 +398,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(dense.pattern(), sparse.pattern());
-    }
-
-    #[test]
-    fn batched_domain_solve_matches_serial_bitwise() {
-        // Four varied designs, one topology: the dense batched lanes must
-        // land on exactly the serial operating points (shared kernels).
-        let designs: Vec<CellDesign> = [0.0, 5e-3, -5e-3, 10e-3]
-            .iter()
-            .map(|&dv| {
-                let mut d = CellDesign::table1();
-                d.nmos.vth0 += dv;
-                d
-            })
-            .collect();
-        let prepare = |d: &CellDesign| {
-            DomainArray::prepare(
-                *d,
-                DomainKind::Nvpg,
-                2,
-                2,
-                SolverChoice::Dense,
-                checkerboard,
-            )
-            .unwrap()
-        };
-        let builders: Vec<ArrayBuilder> = designs.iter().map(prepare).collect();
-        let batched = ArrayBuilder::solve_batch(builders, BatchMode::Fixed(4));
-        assert_eq!(batched.len(), 4);
-        for (d, res) in designs.iter().zip(batched) {
-            let b = res.unwrap();
-            let s = prepare(d).solve().unwrap();
-            assert_eq!(b.pattern(), s.pattern());
-            for (x, y) in b.state().as_slice().iter().zip(s.state().as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(b.static_power(), s.static_power());
-            assert!(b.min_storage_margin() > 0.5, "storage margin collapsed");
-        }
     }
 
     #[test]

@@ -248,14 +248,6 @@ pub(crate) fn begin_solve() -> Option<FaultKind> {
     })
 }
 
-/// Whether a fault plan is installed on this thread. The batched DC path
-/// falls back to serial solving under an active plan so the per-solve
-/// fault schedule (counter order, corruption points) stays identical to
-/// the serial engine's.
-pub(crate) fn plan_active() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

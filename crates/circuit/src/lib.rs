@@ -10,7 +10,8 @@
 //!   the MTJ macromodel live in `nvpg-devices`).
 //! * **DC operating point** ([`dc::operating_point`]) — damped Newton with
 //!   nodesets for bistable circuits, plus gmin stepping and source
-//!   stepping fallbacks.
+//!   stepping fallbacks; [`dc::operating_points`] runs a same-topology
+//!   point set through that ladder on one shared Newton workspace.
 //! * **DC sweeps** ([`dc::sweep`]) with warm starting.
 //! * **Transient analysis** ([`transient::transient`]) — adaptive-step
 //!   backward Euler with waveform breakpoint handling, recording node
@@ -39,7 +40,6 @@
 //! ```
 
 pub mod ac;
-pub mod batched;
 /// Cooperative cancellation tokens (re-exported from `nvpg-numeric` so the
 /// analysis drivers and their callers share one token type). Install with
 /// [`cancel::with_token`]; the Newton loop, the transient step loop, the DC
@@ -65,9 +65,6 @@ pub mod vcd;
 pub mod waveform;
 
 pub use ac::{ac_sweep, AcSweep};
-pub use batched::{
-    batched_operating_point, default_batch, set_default_batch, BatchMode, DEFAULT_BATCH_LANES,
-};
 pub use cancel::CancelToken;
 pub use circuit::Circuit;
 pub use element::{DeviceStamp, NonlinearDevice};

@@ -20,8 +20,8 @@ pub struct StepStats {
     pub rejected_newton: u64,
     /// Steps that converged but were rejected by the local-truncation-
     /// error controller. Not a rescue event: the step is simply redone
-    /// smaller, so clean runs still report clean [`RescueStats`]
-    /// (crate::rescue::RescueStats).
+    /// smaller, so clean runs still report clean
+    /// [`RescueStats`](crate::rescue::RescueStats).
     pub rejected_lte: u64,
     /// Newton iterations summed over every attempted step.
     pub newton_iterations: u64,

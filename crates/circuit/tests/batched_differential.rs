@@ -1,20 +1,21 @@
-//! Batched-vs-serial differential suite: the lock-step batched DC path
-//! must reproduce the serial engine's results on every deck in the
+//! Shared-workspace differential suite: a same-topology point set solved
+//! through `dc::operating_points` must reproduce standalone
+//! `dc::operating_point_report` results on every deck in the
 //! dense-vs-sparse differential corpus.
 //!
-//! Contract under test (see `nvpg_circuit::batched`):
+//! Contract under test:
 //!
-//! * **dense backend** — a batched lane shares the serial LU kernels and
-//!   the serial Newton arithmetic, and a peeled lane reruns the serial
-//!   rescue ladder from the same starting point, so every point is
-//!   **bit-identical** to a serial solve of the same circuit;
-//! * **sparse backend** — all lanes share lane 0's symbolic analysis, so
-//!   a lane's pivot sequence (hence round-off and iteration history) can
-//!   differ from the serial per-point analysis; results must agree within
-//!   the same committed tolerances the dense-vs-sparse suite uses.
+//! * **dense backend** — every point runs the standalone rescue ladder on
+//!   a workspace whose options and factorisation are reset per point, so
+//!   every point is **bit-identical** to a standalone solve of the same
+//!   circuit, rescue stats included;
+//! * **sparse backend** — every point refactors over the first point's
+//!   symbolic analysis, so its pivot sequence (hence round-off and
+//!   iteration history) can differ from a per-point analysis; results
+//!   must agree within the same committed tolerances the dense-vs-sparse
+//!   suite uses.
 
-use nvpg_circuit::batched::batched_operating_point;
-use nvpg_circuit::dc::{operating_point_report, DcOptions};
+use nvpg_circuit::dc::{operating_point_report, operating_points, DcOptions};
 use nvpg_circuit::parser::parse_deck;
 use nvpg_circuit::{Circuit, SolverChoice};
 
@@ -25,13 +26,13 @@ use nvpg_circuit::{Circuit, SolverChoice};
 const ABS_TOL: f64 = 1e-7;
 const REL_TOL: f64 = 1e-6;
 
-fn assert_close(label: &str, serial: &[f64], batched: &[f64]) {
-    assert_eq!(serial.len(), batched.len(), "{label}: dimension mismatch");
-    for (i, (&s, &b)) in serial.iter().zip(batched).enumerate() {
+fn assert_close(label: &str, serial: &[f64], shared: &[f64]) {
+    assert_eq!(serial.len(), shared.len(), "{label}: dimension mismatch");
+    for (i, (&s, &b)) in serial.iter().zip(shared).enumerate() {
         let tol = ABS_TOL + REL_TOL * s.abs().max(b.abs());
         assert!(
             (s - b).abs() <= tol,
-            "{label}: unknown {i} differs: serial {s:e} vs batched {b:e} (tol {tol:e})"
+            "{label}: unknown {i} differs: serial {s:e} vs shared {b:e} (tol {tol:e})"
         );
     }
 }
@@ -108,9 +109,9 @@ fn corpus() -> Vec<(&'static str, String)> {
     decks
 }
 
-/// One batch of parameter points per deck: the primary drive scaled per
-/// lane where the deck exposes a `V1` source, identical circuits where it
-/// does not (topology is shared either way, which is the batching
+/// One set of parameter points per deck: the primary drive scaled per
+/// point where the deck exposes a `V1` source, identical circuits where
+/// it does not (topology is shared either way, which is the sharing
 /// contract).
 const LANE_SCALES: [f64; 4] = [1.0, 0.9, 1.05, 0.8];
 
@@ -132,14 +133,14 @@ fn run_suite(solver: SolverChoice, bitwise: bool) {
             ..DcOptions::default()
         };
         let mut circuits = lane_circuits(&deck);
-        let batched = batched_operating_point(&mut circuits, &opts);
-        for (lane, result) in batched.iter().enumerate() {
+        let shared = operating_points(&mut circuits, &opts);
+        for (lane, result) in shared.iter().enumerate() {
             let mut reference = lane_circuits(&deck).swap_remove(lane);
             let serial = operating_point_report(&mut reference, &opts)
                 .expect("corpus decks converge serially");
             let (sol, stats) = result
                 .as_ref()
-                .unwrap_or_else(|e| panic!("{name} lane {lane} failed batched: {e}"));
+                .unwrap_or_else(|e| panic!("{name} lane {lane} failed shared: {e}"));
             let label = format!("{name} lane {lane}");
             if bitwise {
                 assert_eq!(*stats, serial.1, "{label}: rescue stats differ");
@@ -147,7 +148,7 @@ fn run_suite(solver: SolverChoice, bitwise: bool) {
                     assert_eq!(
                         b.to_bits(),
                         s.to_bits(),
-                        "{label}: unknown {i} not bit-identical: batched {b} vs serial {s}"
+                        "{label}: unknown {i} not bit-identical: shared {b} vs serial {s}"
                     );
                 }
             } else {
@@ -170,6 +171,6 @@ fn batched_sparse_agrees_on_every_deck_within_committed_tolerances() {
 #[test]
 fn batched_auto_agrees_on_every_deck() {
     // Auto picks dense below the threshold and sparse above it; either
-    // way the batched results must agree with serial Auto.
+    // way the shared-workspace results must agree with serial Auto.
     run_suite(SolverChoice::Auto, false);
 }

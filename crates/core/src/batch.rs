@@ -1,4 +1,4 @@
-//! Batched execution of domain-scale DC scans (`--batch auto|serial|N`).
+//! Domain-scale DC scans on shared Newton workspaces.
 //!
 //! The batch-shaped studies in this crate — Monte-Carlo variation
 //! ([`crate::variation::run_domain_variation`]), thermal scans
@@ -6,20 +6,16 @@
 //! ([`crate::bet::bet_design_scan`]) — all reduce to the same kernel:
 //! *solve the DC operating point of one domain topology at many design
 //! points*. [`solve_domain_designs`] is that kernel. It cuts the point
-//! list into chunks of [`BatchMode::lanes`] lanes and makes each chunk
-//! one `nvpg-exec` work item, so batching **composes** with job fan-out:
-//! lanes run lock-step inside one worker (sharing a symbolic analysis and
-//! the factor stacks, see [`nvpg_circuit::batched`]) while chunks fan out
-//! across workers.
+//! list into chunks of 64 points; each chunk is one `nvpg-exec`
+//! work item whose points share one Newton workspace
+//! ([`nvpg_circuit::dc::operating_points`]: one symbolic analysis on the
+//! sparse backend), while chunks fan out across workers.
 //!
-//! Chunk boundaries depend only on the batch mode — never on `jobs` —
-//! and results are folded back in input order, so output is identical at
-//! every worker count (the same invariant the figure pipeline holds).
-//! On the dense backend a batched point is additionally **bit-identical**
-//! to a serial solve of that point, so `--batch N` vs `--batch serial`
-//! changes wall-clock, not answers, below the sparse threshold.
-
-pub use nvpg_circuit::batched::{default_batch, set_default_batch, BatchMode, DEFAULT_BATCH_LANES};
+//! Chunk boundaries depend only on the input — never on `jobs` — and
+//! results are folded back in input order, so output is identical at
+//! every worker count (the same invariant the figure pipeline holds). On
+//! the dense backend a scan point is additionally **bit-identical** to a
+//! standalone solve of that design.
 
 use nvpg_cells::array::{checkerboard, ArrayBuilder, CellArray};
 use nvpg_cells::design::CellDesign;
@@ -27,32 +23,47 @@ use nvpg_cells::domain::{DomainArray, DomainKind};
 use nvpg_circuit::{CircuitError, SolverChoice};
 use nvpg_exec::{Budget, Settled};
 
+/// Points per chunk: the points that share one workspace and one work
+/// item.
+const CHUNK: usize = 64;
+
 /// Solves the DC operating point of an `rows × cols` domain of `kind`
 /// for every design in `designs` — one checkerboard-seeded domain per
 /// design point — returning per-point results in input order.
 ///
-/// Points are batched `batch.lanes()` at a time and the chunks fan out
-/// over `jobs` workers (`0` = pool default). Every design must produce
-/// the same netlist topology (parameter values only may differ), which
-/// holds for any scan derived from one base [`CellDesign`].
+/// Points are solved in chunks that each share one Newton workspace, and
+/// the chunks fan out over `jobs` workers (`0` = pool default). Every
+/// design must produce the same netlist topology (parameter values only
+/// may differ), which holds for any scan derived from one base
+/// [`CellDesign`].
 pub fn solve_domain_designs(
     designs: &[CellDesign],
     kind: DomainKind,
     rows: usize,
     cols: usize,
-    batch: BatchMode,
     jobs: usize,
 ) -> Vec<Result<CellArray, CircuitError>> {
-    let lanes = batch.lanes();
-    let starts: Vec<usize> = (0..designs.len()).step_by(lanes).collect();
+    solve_in_chunks(designs, kind, rows, cols, CHUNK, jobs)
+}
+
+/// [`solve_domain_designs`] with an explicit chunk length.
+fn solve_in_chunks(
+    designs: &[CellDesign],
+    kind: DomainKind,
+    rows: usize,
+    cols: usize,
+    chunk: usize,
+    jobs: usize,
+) -> Vec<Result<CellArray, CircuitError>> {
+    let starts: Vec<usize> = (0..designs.len()).step_by(chunk).collect();
     let settled: Vec<Settled<Vec<Result<CellArray, CircuitError>>, CircuitError>> =
         nvpg_exec::par_map_settled(jobs, &starts, Budget::unlimited(), |_, &start| {
-            let end = (start + lanes).min(designs.len());
-            // Prepare each lane's netlist; a build failure claims that
-            // point's slot and drops the lane from the batch.
+            let end = (start + chunk).min(designs.len());
+            // Prepare each point's netlist; a build failure claims that
+            // point's slot and drops it from the shared solve.
             let mut slots: Vec<Option<Result<CellArray, CircuitError>>> =
                 (start..end).map(|_| None).collect();
-            let mut lanes_built: Vec<(usize, ArrayBuilder)> = Vec::with_capacity(end - start);
+            let mut built: Vec<(usize, ArrayBuilder)> = Vec::with_capacity(end - start);
             for i in start..end {
                 match DomainArray::prepare(
                     designs[i],
@@ -62,15 +73,14 @@ pub fn solve_domain_designs(
                     SolverChoice::Auto,
                     checkerboard,
                 ) {
-                    Ok(b) => lanes_built.push((i - start, b)),
+                    Ok(b) => built.push((i - start, b)),
                     Err(e) => slots[i - start] = Some(Err(e)),
                 }
             }
-            let (positions, builders): (Vec<usize>, Vec<ArrayBuilder>) =
-                lanes_built.into_iter().unzip();
+            let (positions, builders): (Vec<usize>, Vec<ArrayBuilder>) = built.into_iter().unzip();
             for (pos, res) in positions
                 .into_iter()
-                .zip(ArrayBuilder::solve_batch(builders, batch))
+                .zip(ArrayBuilder::solve_batch(builders))
             {
                 slots[pos] = Some(res);
             }
@@ -79,9 +89,9 @@ pub fn solve_domain_designs(
 
     let mut out = Vec::with_capacity(designs.len());
     for (k, s) in settled.into_iter().enumerate() {
-        let chunk_len = lanes.min(designs.len() - k * lanes);
+        let chunk_len = chunk.min(designs.len() - k * chunk);
         match s {
-            Settled::Ok(chunk) => out.extend(chunk),
+            Settled::Ok(points) => out.extend(points),
             // The chunk closure is infallible; these arms only fire if a
             // worker dies, and then every point of the chunk reports it.
             Settled::Err(e) => {
@@ -131,31 +141,59 @@ mod tests {
     }
 
     #[test]
-    fn batched_scan_is_bit_identical_to_serial_scan() {
-        // 2×2 NVPG domains sit far below the sparse threshold, so the
-        // dense batched lanes share the serial kernels exactly.
-        let designs = varied(&[0.0, 4e-3, -4e-3, 8e-3, -8e-3, 12e-3]);
-        let serial = solve_domain_designs(&designs, DomainKind::Nvpg, 2, 2, BatchMode::Serial, 1);
-        let batched =
-            solve_domain_designs(&designs, DomainKind::Nvpg, 2, 2, BatchMode::Fixed(4), 1);
-        for (s, b) in powers(&serial).iter().zip(powers(&batched)) {
-            assert_eq!(s.to_bits(), b.to_bits());
+    fn scan_points_equal_standalone_domain_solves() {
+        // Below the sparse threshold the shared workspace runs the same
+        // dense arithmetic as a fresh one, so every scan point must be
+        // the standalone solve of its design, bit for bit.
+        for (rows, cols, shifts) in [
+            (2, 2, &[0.0, 4e-3, -4e-3, 8e-3, -8e-3, 12e-3][..]),
+            (4, 4, &[0.0, 5e-3, -5e-3, 10e-3][..]),
+        ] {
+            let designs = varied(shifts);
+            let scan = solve_domain_designs(&designs, DomainKind::Nvpg, rows, cols, 1);
+            assert_eq!(scan.len(), designs.len());
+            for (i, (d, res)) in designs.iter().zip(&scan).enumerate() {
+                let point = res.as_ref().expect("scan point solves");
+                let alone = DomainArray::prepare(
+                    *d,
+                    DomainKind::Nvpg,
+                    rows,
+                    cols,
+                    SolverChoice::Auto,
+                    checkerboard,
+                )
+                .unwrap()
+                .solve()
+                .unwrap();
+                let label = format!("{rows}x{cols} point {i}");
+                assert_eq!(point.pattern(), alone.pattern(), "{label}");
+                for (x, y) in point
+                    .state()
+                    .as_slice()
+                    .iter()
+                    .zip(alone.state().as_slice())
+                {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{label}: {x} vs {y}");
+                }
+                assert_eq!(
+                    point.static_power().to_bits(),
+                    alone.static_power().to_bits(),
+                    "{label}"
+                );
+            }
         }
     }
 
     #[test]
-    fn batch_composes_with_jobs_without_changing_output() {
-        // The satellite acceptance test: `--batch N` at `--jobs 1` and
-        // `--jobs 8` (and a different N) must agree point for point —
-        // chunk boundaries come from the batch mode, never the pool.
+    fn chunking_composes_with_jobs_without_changing_output() {
+        // Chunk boundaries come from the input, never the pool: 3-point
+        // chunks at jobs 1, 2 and 8 agree point for point, and (dense
+        // path) with the production chunk length too.
         let designs = varied(&[0.0, 3e-3, -3e-3, 6e-3, -6e-3, 9e-3, -9e-3]);
-        let reference =
-            solve_domain_designs(&designs, DomainKind::Nvpg, 2, 2, BatchMode::Fixed(3), 1);
-        let ref_powers = powers(&reference);
+        let reference = powers(&solve_in_chunks(&designs, DomainKind::Nvpg, 2, 2, 3, 1));
         for jobs in [2, 8] {
-            let run =
-                solve_domain_designs(&designs, DomainKind::Nvpg, 2, 2, BatchMode::Fixed(3), jobs);
-            for (i, (a, b)) in ref_powers.iter().zip(powers(&run)).enumerate() {
+            let run = solve_in_chunks(&designs, DomainKind::Nvpg, 2, 2, 3, jobs);
+            for (i, (a, b)) in reference.iter().zip(powers(&run)).enumerate() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
@@ -163,9 +201,8 @@ mod tests {
                 );
             }
         }
-        // Dense path: a different lane width is *also* bit-identical.
-        let other = solve_domain_designs(&designs, DomainKind::Nvpg, 2, 2, BatchMode::Auto, 4);
-        for (a, b) in ref_powers.iter().zip(powers(&other)) {
+        let one_chunk = solve_domain_designs(&designs, DomainKind::Nvpg, 2, 2, 4);
+        for (a, b) in reference.iter().zip(powers(&one_chunk)) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

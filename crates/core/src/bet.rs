@@ -20,7 +20,7 @@ use nvpg_cells::domain::DomainKind;
 use nvpg_circuit::CircuitError;
 
 use crate::arch::Architecture;
-use crate::batch::{solve_domain_designs, BatchMode};
+use crate::batch::solve_domain_designs;
 use crate::energy::{BenchmarkParams, EnergyModel};
 
 /// Outcome of a BET computation.
@@ -131,9 +131,9 @@ pub struct BetScanPoint {
 ///
 /// Every grid point is one varied [`CellDesign`] — threshold shift on
 /// both device cards, power-switch width `n_fsw` — whose `rows × cols`
-/// NVPG domain operating point solves as one lane of a batched stack
-/// ([`crate::batch`], `batch.lanes()` points per chunk, chunks fanned
-/// over `jobs` workers). The per-point BET is first-order: `ch`'s NV
+/// NVPG domain operating point solves on a Newton workspace shared with
+/// its chunk of the grid ([`crate::batch`], chunks fanned over `jobs`
+/// workers). The per-point BET is first-order: `ch`'s NV
 /// static powers are scaled by the point's measured domain leakage
 /// relative to the unshifted design's, and the closed-form crossing
 /// re-solved — the leakage axis of the BET surface, without a transient
@@ -152,7 +152,6 @@ pub fn bet_design_scan(
     rows: usize,
     cols: usize,
     params: &BenchmarkParams,
-    batch: BatchMode,
     jobs: usize,
 ) -> Result<Vec<BetScanPoint>, CircuitError> {
     use nvpg_cells::domain::DomainArray;
@@ -181,7 +180,7 @@ pub fn bet_design_scan(
     .solve()?;
     let nominal_power = nominal.static_power();
 
-    solve_domain_designs(&designs, DomainKind::Nvpg, rows, cols, batch, jobs)
+    solve_domain_designs(&designs, DomainKind::Nvpg, rows, cols, jobs)
         .into_iter()
         .zip(grid)
         .map(|(res, (vth_shift, n_fsw))| {
@@ -366,14 +365,13 @@ mod tests {
     }
 
     #[test]
-    fn design_scan_tracks_leakage_and_batches_cleanly() {
+    fn design_scan_tracks_leakage() {
         let base = CellDesign::table1();
         let ch = synthetic();
         let shifts = [-10e-3, 0.0, 10e-3];
         let fins = [7, 14];
         let p = params(10);
-        let scan = |batch| bet_design_scan(&base, &ch, &shifts, &fins, 2, 2, &p, batch, 0).unwrap();
-        let pts = scan(BatchMode::Fixed(6));
+        let pts = bet_design_scan(&base, &ch, &shifts, &fins, 2, 2, &p, 0).unwrap();
         assert_eq!(pts.len(), 6);
         // Row-major: fins vary fastest.
         assert_eq!((pts[0].vth_shift, pts[0].n_fsw), (-10e-3, 7));
@@ -392,11 +390,5 @@ mod tests {
                 && (bets[1] > bets[2]) == (at_fins7[1].static_power > at_fins7[2].static_power),
             "BET not monotone in leakage: {bets:?}"
         );
-        // Dense batched lanes are bit-identical to the serial scan.
-        let serial = scan(BatchMode::Serial);
-        for (b, s) in pts.iter().zip(&serial) {
-            assert_eq!(b.static_power.to_bits(), s.static_power.to_bits());
-            assert_eq!(b.bet, s.bet);
-        }
     }
 }

@@ -759,7 +759,6 @@ impl Experiments {
             &nvpg_cells::RetentionKind::LABELS,
             &BenchmarkParams::fig7_default(),
             1,
-            crate::batch::default_batch(),
         )?;
         let groups_of = |label: &str| match label {
             "per_domain" => 1.0,

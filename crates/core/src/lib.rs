@@ -64,9 +64,7 @@ pub mod variation;
 pub mod workload;
 
 pub use arch::Architecture;
-pub use batch::{
-    default_batch, set_default_batch, solve_domain_designs, BatchMode, DEFAULT_BATCH_LANES,
-};
+pub use batch::solve_domain_designs;
 pub use bet::{bet_closed_form, bet_design_scan, bet_iterative, Bet, BetScanPoint};
 pub use cancel::CancelToken;
 pub use corners::{corner_analysis, Corner, CornerResult};

@@ -17,7 +17,7 @@
 //!   a dark bank. [`ShutdownPolicy`] folds both into the closed-form BET.
 //! * **The scan** — [`bet_macro_scan`] builds real macro netlists (cell
 //!   array + periphery) per granularity and technology, measures their
-//!   static power through the batched DC backend, and reports the BET of
+//!   static power on shared DC Newton workspaces, and reports the BET of
 //!   NVPG and NOF against the OSR baseline with the always-on periphery
 //!   overhead charged to every architecture.
 
@@ -29,7 +29,7 @@ use nvpg_circuit::{CircuitError, SolverChoice};
 use nvpg_macro::{Granularity, MacroBuilder, MacroSpec, NvMacro};
 
 use crate::arch::Architecture;
-use crate::batch::{solve_domain_designs, BatchMode};
+use crate::batch::solve_domain_designs;
 use crate::bet::{bet_closed_form, Bet};
 use crate::energy::{BenchmarkParams, EnergyModel};
 
@@ -222,8 +222,9 @@ pub struct MacroScanPoint {
 /// cell flow — store/restore energy and static powers come from the
 /// technology's own devices. Per `(granularity, technology)`, a real
 /// `rows × cols` macro netlist is built and its operating point solved
-/// through the batched backend (technologies share a topology, so they
-/// ride one symbolic schedule); an OSR macro per granularity prices the
+/// on one Newton workspace per granularity (technologies share a
+/// topology, so they share one symbolic analysis); an OSR macro per
+/// granularity prices the
 /// volatile baseline's periphery the same way. The BET then follows from
 /// the closed form with the periphery overhead added to *every*
 /// architecture's static power and a half-array [`ShutdownPolicy`]
@@ -243,7 +244,6 @@ pub fn bet_macro_scan(
     technologies: &[&str],
     params: &BenchmarkParams,
     wake_accesses: u32,
-    batch: BatchMode,
 ) -> Result<Vec<MacroScanPoint>, CircuitError> {
     let cells = (rows * cols) as f64;
     let unknown_tech = |label: &str| CircuitError::InvalidValue {
@@ -265,22 +265,16 @@ pub fn bet_macro_scan(
     // Domain-level baselines: the same cells without periphery, one NV
     // domain per technology plus the volatile 6T reference.
     let nv_designs: Vec<CellDesign> = designs.iter().map(|(_, d, _)| *d).collect();
-    let nv_domains = solve_domain_designs(&nv_designs, DomainKind::Nvpg, rows, cols, batch, 1);
+    let nv_domains = solve_domain_designs(&nv_designs, DomainKind::Nvpg, rows, cols, 1);
     let mut nv_domain_power = Vec::with_capacity(nv_domains.len());
     for res in nv_domains {
         nv_domain_power.push(res?.static_power());
     }
-    let osr_domain_power = solve_domain_designs(
-        &[CellDesign::table1()],
-        DomainKind::Osr,
-        rows,
-        cols,
-        batch,
-        1,
-    )
-    .pop()
-    .expect("one design in, one result out")?
-    .static_power();
+    let osr_domain_power =
+        solve_domain_designs(&[CellDesign::table1()], DomainKind::Osr, rows, cols, 1)
+            .pop()
+            .expect("one design in, one result out")?
+            .static_power();
 
     let mut points = Vec::new();
     for &granularity in granularities {
@@ -302,8 +296,8 @@ pub fn bet_macro_scan(
         .solve()?;
         let osr_overhead = ((osr_macro.static_power() - osr_domain_power) / cells).max(0.0);
 
-        // One NV macro per technology — same topology, so they solve as
-        // lanes of one batched stack.
+        // One NV macro per technology — same topology, so they share one
+        // Newton workspace.
         let builders = designs
             .iter()
             .map(|(_, design, _)| {
@@ -313,7 +307,7 @@ pub fn bet_macro_scan(
                     .map(MacroBuilder::into_array)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let macros = ArrayBuilder::solve_batch(builders, batch);
+        let macros = ArrayBuilder::solve_batch(builders);
 
         for ((res, (label, _, ch)), &domain_power) in
             macros.into_iter().zip(&designs).zip(&nv_domain_power)
@@ -434,7 +428,6 @@ mod tests {
             &nvpg_cells::RetentionKind::LABELS,
             &BenchmarkParams::fig7_default(),
             1,
-            BatchMode::Auto,
         )
         .unwrap();
         assert_eq!(points.len(), 18, "3 granularities × 3 technologies × 2");
@@ -471,7 +464,6 @@ mod tests {
             &["flux_capacitor"],
             &BenchmarkParams::fig7_default(),
             0,
-            BatchMode::Serial,
         )
         .unwrap_err();
         assert!(matches!(err, CircuitError::InvalidValue { .. }));

@@ -17,7 +17,7 @@ use nvpg_cells::domain::DomainKind;
 use nvpg_circuit::CircuitError;
 
 use crate::arch::Architecture;
-use crate::batch::{solve_domain_designs, BatchMode};
+use crate::batch::solve_domain_designs;
 use crate::bet::{bet_closed_form, Bet};
 use crate::energy::{BenchmarkParams, EnergyModel};
 
@@ -86,9 +86,9 @@ pub struct DomainThermalPoint {
 }
 
 /// Array-scale thermal scan: solves the DC operating point of one
-/// `rows × cols` domain of `kind` per temperature — every point is a
-/// lane of a batched solve ([`crate::batch`]), `batch.lanes()` at a
-/// time, chunks fanned out over `jobs` workers — and reports the
+/// `rows × cols` domain of `kind` per temperature — the points share
+/// Newton workspaces chunk by chunk ([`crate::batch`]), chunks fanned
+/// out over `jobs` workers — and reports the
 /// domain's leakage and storage margin against temperature.
 ///
 /// Where [`temperature_sweep`] re-runs the full (transient) cell
@@ -104,11 +104,10 @@ pub fn domain_leakage_sweep(
     kind: DomainKind,
     rows: usize,
     cols: usize,
-    batch: BatchMode,
     jobs: usize,
 ) -> Result<Vec<DomainThermalPoint>, CircuitError> {
     let designs: Vec<CellDesign> = temps.iter().map(|&t| at_temperature(base, t)).collect();
-    solve_domain_designs(&designs, kind, rows, cols, batch, jobs)
+    solve_domain_designs(&designs, kind, rows, cols, jobs)
         .into_iter()
         .zip(temps)
         .map(|(res, &temp)| {
@@ -166,19 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn domain_leakage_sweep_rises_with_temperature_and_batches_cleanly() {
+    fn domain_leakage_sweep_rises_with_temperature_at_any_jobs() {
         let temps = [280.0, 300.0, 320.0, 340.0, 360.0];
         let base = CellDesign::table1();
-        let pts = domain_leakage_sweep(
-            &base,
-            &temps,
-            DomainKind::Nvpg,
-            2,
-            2,
-            BatchMode::Fixed(5),
-            0,
-        )
-        .unwrap();
+        let pts = domain_leakage_sweep(&base, &temps, DomainKind::Nvpg, 2, 2, 0).unwrap();
         assert_eq!(pts.len(), temps.len());
         // Subthreshold leakage is exponential in T: strictly increasing.
         for w in pts.windows(2) {
@@ -191,10 +181,8 @@ mod tests {
         for p in &pts {
             assert!(p.margin > 0.5, "{} K: margin {}", p.temp, p.margin);
         }
-        // Dense batched lanes are bit-identical to a serial scan.
-        let serial =
-            domain_leakage_sweep(&base, &temps, DomainKind::Nvpg, 2, 2, BatchMode::Serial, 1)
-                .unwrap();
+        // The pool width never changes the answers.
+        let serial = domain_leakage_sweep(&base, &temps, DomainKind::Nvpg, 2, 2, 1).unwrap();
         for (b, s) in pts.iter().zip(&serial) {
             assert_eq!(b.static_power.to_bits(), s.static_power.to_bits());
             assert_eq!(b.margin.to_bits(), s.margin.to_bits());

@@ -1,4 +1,4 @@
-//! The every-deck differential matrix: dense×sparse × serial×batched,
+//! The every-deck differential matrix: dense×sparse × serial×shared,
 //! DC and transient, plus jobs-invariance and seeded random-netlist
 //! equivalence — all driven from the single deck registry
 //! ([`nvpg_circuit::registry::registry`]).
@@ -9,8 +9,7 @@
 //! must not change arithmetic at all, so `jobs=1` and `jobs=N` results
 //! are compared bit-for-bit (`f64::to_bits`), not within a tolerance.
 
-use nvpg_circuit::batched::batched_operating_point;
-use nvpg_circuit::dc::{operating_point, DcOptions};
+use nvpg_circuit::dc::{operating_point, operating_points, DcOptions};
 use nvpg_circuit::registry::{random_circuit, DeckSpec};
 use nvpg_circuit::transient::{transient, TransientOptions};
 use nvpg_circuit::{Circuit, CircuitError, SolverChoice};
@@ -25,7 +24,7 @@ pub struct MatrixConfig {
     /// Worker count for the jobs-invariance arm (`0` → the machine's
     /// available parallelism). The `jobs=1` side is always run too.
     pub jobs: usize,
-    /// Identical-circuit lanes per batched solve.
+    /// Identical circuits solved on one shared Newton workspace.
     pub batch_lanes: usize,
     /// Cross-backend comparison tolerance.
     pub tolerance: Tolerance,
@@ -176,13 +175,14 @@ pub fn run_matrix(cfg: &MatrixConfig) -> ValidationReport {
             ),
         }
 
-        // Batched lanes, both backends. Identical lanes (the deck parsed
-        // `batch_lanes` times) keep the topology shared, which is the
-        // batching contract; every lane must match the serial reference.
+        // Shared-workspace groups, both backends. Identical circuits (the
+        // deck parsed `batch_lanes` times) keep the topology shared, which
+        // is the sharing contract; every point must match the serial
+        // reference.
         for solver in [SolverChoice::Dense, SolverChoice::Sparse] {
             let tag = match solver {
-                SolverChoice::Dense => "dense-batched",
-                _ => "sparse-batched",
+                SolverChoice::Dense => "dense-shared",
+                _ => "sparse-shared",
             };
             let mut lanes: Vec<Circuit> = (0..cfg.batch_lanes.max(2))
                 .map(|_| spec.circuit())
@@ -191,10 +191,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> ValidationReport {
                 solver,
                 ..DcOptions::default()
             };
-            for (lane, outcome) in batched_operating_point(&mut lanes, &opts)
-                .into_iter()
-                .enumerate()
-            {
+            for (lane, outcome) in operating_points(&mut lanes, &opts).into_iter().enumerate() {
                 let check = format!("{} {tag} lane {lane}", spec.id);
                 match outcome {
                     Ok((sol, _)) => compare_cell(
@@ -331,7 +328,7 @@ mod tests {
     fn small_matrix_is_green() {
         let report = run_matrix(&small_cfg());
         assert!(report.passed(), "{report}");
-        // 2 decks × (sparse-serial + 2×2 batched lanes + tran + jobs).
+        // 2 decks × (sparse-serial + 2×2 shared-workspace points + tran + jobs).
         assert_eq!(report.run.records.len(), 2 * 7, "{report}");
     }
 

@@ -10,14 +10,14 @@
 //!   is re-blessed with [`golden::bless`], which *refuses* to write new
 //!   goldens while the differential matrix disagrees with itself.
 //! * **Differential matrix** ([`matrix`]) — every registry deck through
-//!   dense×sparse × serial×batched, DC and transient, plus a
+//!   dense×sparse × serial×shared-workspace, DC and transient, plus a
 //!   jobs-invariance bit-compare (`jobs=1` vs `jobs=N` must be
 //!   byte-identical) and seeded random-netlist equivalence.
 //! * **External oracle** ([`ngspice`]) — optional DC cross-check against
 //!   an `ngspice` binary when one is on `PATH`; absence is a *counted
 //!   skip*, never a silent pass and never a failure.
 //!
-//! Failures reuse the [`RunReport`](crate::report::RunReport) taxonomy, so
+//! Failures reuse the [`RunReport`] taxonomy, so
 //! `validate --check` output reads exactly like a figures-run failures
 //! appendix and CI can grep one format.
 

@@ -24,7 +24,7 @@ use nvpg_circuit::{CircuitError, RescueStats, SolverChoice};
 use nvpg_exec::{Budget, Settled};
 
 use crate::arch::Architecture;
-use crate::batch::{solve_domain_designs, BatchMode};
+use crate::batch::solve_domain_designs;
 use crate::bet::{bet_closed_form, Bet};
 use crate::energy::{BenchmarkParams, EnergyModel};
 use crate::error::SimError;
@@ -359,10 +359,10 @@ pub struct DomainVariationOutcome {
 
 /// Array-scale Monte-Carlo: samples varied designs with the *same*
 /// sub-streams as [`run_variation`] (sample `i` draws from
-/// `Rng64::split(seed, i)` regardless of batching or worker count) and
+/// `Rng64::split(seed, i)` regardless of chunking or worker count) and
 /// solves the DC operating point of one `rows × cols` domain of `kind`
-/// per sample — batched `batch.lanes()` lock-step lanes at a time, with
-/// chunks fanned out over `jobs` workers (see [`crate::batch`]).
+/// per sample — chunks of samples share a Newton workspace, and the
+/// chunks fan out over `jobs` workers (see [`crate::batch`]).
 ///
 /// Reported per sample: the domain's normal-mode static power, the worst
 /// per-cell storage margin, and pattern integrity. When `params` is
@@ -384,7 +384,6 @@ pub fn run_domain_variation(
     rows: usize,
     cols: usize,
     params: Option<&BenchmarkParams>,
-    batch: BatchMode,
     jobs: usize,
 ) -> Result<(DomainVariationOutcome, RunReport), CircuitError> {
     let designs: Vec<CellDesign> = (0..u64::from(spec.samples))
@@ -405,7 +404,7 @@ pub fn run_domain_variation(
         None => None,
     };
 
-    let results = solve_domain_designs(&designs, kind, rows, cols, batch, jobs);
+    let results = solve_domain_designs(&designs, kind, rows, cols, jobs);
 
     let mut outcome = DomainVariationOutcome {
         samples: Vec::with_capacity(designs.len()),
@@ -545,9 +544,9 @@ mod tests {
     }
 
     #[test]
-    fn domain_variation_is_batch_and_jobs_invariant() {
-        // The array-scale MC must give the same answers at every batch
-        // width and worker count (dense path ⇒ bit-identical outcomes).
+    fn domain_variation_is_jobs_invariant() {
+        // The array-scale MC must give the same answers at every worker
+        // count.
         let spec = VariationSpec {
             sigma_vth: 5e-3,
             sigma_tmr_rel: 0.02,
@@ -556,12 +555,12 @@ mod tests {
             seed: 0xBA7C_4ED0,
         };
         let base = CellDesign::table1();
-        let run = |batch, jobs| {
-            run_domain_variation(&base, &spec, DomainKind::Nvpg, 2, 2, None, batch, jobs)
+        let run = |jobs| {
+            run_domain_variation(&base, &spec, DomainKind::Nvpg, 2, 2, None, jobs)
                 .unwrap()
                 .0
         };
-        let reference = run(BatchMode::Serial, 1);
+        let reference = run(1);
         assert_eq!(reference.simulation_failures, 0);
         assert_eq!(reference.samples.len(), 6);
         for s in &reference.samples {
@@ -570,22 +569,8 @@ mod tests {
             assert!(s.static_power > 0.0 && s.static_power < 1e-4);
             assert_eq!(s.bet, None);
         }
-        assert_eq!(reference, run(BatchMode::Fixed(3), 1));
-        assert_eq!(reference, run(BatchMode::Fixed(3), 4));
-        assert_eq!(reference, run(BatchMode::Auto, 8));
-
-        // A 4×4 domain at the default spread, 16 samples: batched lanes
-        // reproduce the serial outcomes.
-        let spec = VariationSpec {
-            samples: 16,
-            ..VariationSpec::default()
-        };
-        let run4 = |batch| {
-            run_domain_variation(&base, &spec, DomainKind::Nvpg, 4, 4, None, batch, 1)
-                .unwrap()
-                .0
-        };
-        assert_eq!(run4(BatchMode::Serial), run4(BatchMode::Auto));
+        assert_eq!(reference, run(4));
+        assert_eq!(reference, run(8));
     }
 
     #[test]
@@ -605,7 +590,6 @@ mod tests {
             2,
             2,
             Some(&params),
-            BatchMode::Auto,
             0,
         )
         .unwrap();

@@ -369,7 +369,7 @@ impl MacroBuilder {
 
     /// Consumes the builder, returning the engine's prepared netlist —
     /// for [`ArrayBuilder::solve_batch`], which settles many same-topology
-    /// macros in lock-step lanes.
+    /// macros on one shared Newton workspace.
     pub fn into_array(self) -> ArrayBuilder {
         self.array
     }

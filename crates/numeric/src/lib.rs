@@ -28,12 +28,6 @@
 //! * [`cancel`] — cooperative cancellation tokens (deadline + reason +
 //!   progress heartbeat) polled by the Newton and sparse-factorisation hot
 //!   loops; zero cost when no token is installed.
-//! * [`batched`] — lock-step Newton over a stack of same-structure systems
-//!   (one lane per parameter point): batched dense LU sharing the serial
-//!   kernels bit-for-bit, batched sparse refactorisation sharing one
-//!   symbolic analysis across all lanes, per-lane convergence masking with
-//!   peel-off to the serial rescue ladder. The trait boundary is phase
-//!   structured (upload/factor/solve/download) so a GPU backend can slot in.
 //!
 //! # Examples
 //!
@@ -46,7 +40,6 @@
 //! assert!((x[1] - 1.4).abs() < 1e-12);
 //! ```
 
-pub mod batched;
 pub mod cancel;
 pub mod complex;
 pub mod interp;
@@ -58,10 +51,6 @@ pub mod roots;
 pub mod simd;
 pub mod sparse;
 
-pub use batched::{
-    BatchedDenseLu, BatchedNewton, BatchedSolver, BatchedSparseLu, LaneFactor, LaneOutcome,
-    PeelReason,
-};
 pub use cancel::CancelToken;
 pub use complex::{ComplexMatrix, C64};
 pub use interp::{LinearInterp, MonotoneCubic};

@@ -137,13 +137,6 @@ impl DenseMatrix {
         self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
     }
 
-    /// Read-only view of the row-major backing storage (crate-internal:
-    /// the batched backend copies whole matrices into its factor stack).
-    #[inline]
-    pub(crate) fn data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// LU-factorises a square matrix with partial pivoting.
     ///
     /// This is the allocating convenience wrapper around the in-place
@@ -169,13 +162,11 @@ impl DenseMatrix {
     }
 }
 
-/// The in-place Doolittle factorisation kernel shared by [`DenseMatrix::lu`],
-/// [`LuWorkspace::factor_from`], and the batched dense backend: overwrites
-/// `lu` with the combined L/U factors, fills `perm`, and returns the
-/// permutation sign. Crate-visible so every dense LU in the workspace runs
-/// the *same* instruction sequence — the batched-vs-serial bit-identity
-/// guarantee rests on this.
-pub(crate) fn factor_in_place(
+/// The in-place Doolittle factorisation kernel shared by [`DenseMatrix::lu`]
+/// and [`LuWorkspace::factor_from`]: overwrites `lu` with the combined L/U
+/// factors, fills `perm`, and returns the permutation sign. Both entry
+/// points run the *same* instruction sequence, so they agree bit for bit.
+fn factor_in_place(
     n: usize,
     lu: &mut [f64],
     perm: &mut [usize],
@@ -226,9 +217,8 @@ pub(crate) fn factor_in_place(
 
 /// Permuted forward/backward substitution on combined L/U factors,
 /// writing the solution into `x`. `x` must already hold the permuted
-/// right-hand side (`x[i] = b[perm[i]]`). Crate-visible for the batched
-/// dense backend (same bit-identity rationale as [`factor_in_place`]).
-pub(crate) fn substitute_in_place(n: usize, lu: &[f64], x: &mut [f64]) {
+/// right-hand side (`x[i] = b[perm[i]]`).
+fn substitute_in_place(n: usize, lu: &[f64], x: &mut [f64]) {
     // Forward substitution (L has unit diagonal). The row prefix
     // `lu[i*n..i*n+i]` and the already-final prefix `x[..i]` are both
     // contiguous, so the reductions go through the SIMD dot kernel.

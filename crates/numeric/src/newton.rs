@@ -212,8 +212,9 @@ pub struct NewtonOptions {
     pub backtrack: u32,
     /// Modified-Newton mode: keep the previous LU factorisation across
     /// iterations *and* across `solve` calls, refreshing only when the
-    /// step contraction rate degrades past [`reuse_contraction`]
-    /// (NewtonOptions::reuse_contraction) or the factorisation exceeds
+    /// step contraction rate degrades past
+    /// [`reuse_contraction`](NewtonOptions::reuse_contraction) or the
+    /// factorisation exceeds
     /// [`reuse_max_age`](NewtonOptions::reuse_max_age) stale iterations.
     /// Residuals are still evaluated genuinely every iteration, so a
     /// converged answer satisfies the same tolerances as full Newton.

@@ -771,140 +771,6 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Fixed-pattern numeric refactorisation into *external* L/U value
-    /// slices — the per-lane kernel of the batched sparse backend. The
-    /// cached symbolic analysis (pivot sequence, L/U patterns, scratch) is
-    /// shared; only the numeric values live per lane. `l_out`/`u_out` must
-    /// have exactly `nnz_l()`/`nnz_u()` entries. Left-looking elimination
-    /// reads the lane's own already-computed columns from `l_out`, never
-    /// from the workspace's internal values, so lanes are independent.
-    ///
-    /// # Errors
-    ///
-    /// [`RefactorFailure::Unstable`] when the cached pivot sequence is not
-    /// numerically admissible for this lane's values (or a cancellation
-    /// token fired); the caller peels the lane to a full serial solve.
-    #[allow(clippy::needless_range_loop)] // `p`/`lp` walk rowind and value slices in lockstep
-    pub(crate) fn refactor_into(
-        &mut self,
-        a: &CscMatrix,
-        l_out: &mut [f64],
-        u_out: &mut [f64],
-    ) -> Result<(), RefactorFailure> {
-        assert!(self.analyzed, "refactor_into before symbolic analysis");
-        let n = self.n;
-        debug_assert_eq!(a.n, n);
-        debug_assert_eq!(l_out.len(), self.l_rowind.len());
-        debug_assert_eq!(u_out.len(), self.u_rowind.len());
-        let w = &mut self.work; // all-zero on entry, restored on every exit
-        for j in 0..n {
-            if j & 0xFF == 0 && cancel::checkpoint() {
-                return Err(RefactorFailure::Unstable);
-            }
-            let col = self.q[j];
-            let mut colmax = 0.0f64;
-            for p in a.colptr[col]..a.colptr[col + 1] {
-                let v = a.values[p];
-                w[self.pinv[a.rowind[p]]] = v;
-                let av = v.abs();
-                if av > colmax {
-                    colmax = av;
-                }
-            }
-            let u_lo = self.u_colptr[j];
-            let u_hi = self.u_colptr[j + 1];
-            for p in u_lo..u_hi - 1 {
-                let r = self.u_rowind[p];
-                let xr = w[r];
-                w[r] = 0.0;
-                u_out[p] = xr;
-                if xr != 0.0 {
-                    for lp in self.l_colptr[r]..self.l_colptr[r + 1] {
-                        w[self.l_rowind[lp]] -= l_out[lp] * xr;
-                    }
-                }
-            }
-            let pivot = w[j];
-            w[j] = 0.0;
-            let l_lo = self.l_colptr[j];
-            let l_hi = self.l_colptr[j + 1];
-            let mut below = 0.0f64;
-            for lp in l_lo..l_hi {
-                let av = w[self.l_rowind[lp]].abs();
-                if av > below {
-                    below = av;
-                }
-            }
-            let scale = below.max(colmax);
-            let ok = pivot.is_finite()
-                && scale.is_finite()
-                && pivot.abs() >= 1e-300
-                && pivot.abs() >= self.refactor_guard * scale;
-            if !ok {
-                for lp in l_lo..l_hi {
-                    w[self.l_rowind[lp]] = 0.0;
-                }
-                for p in u_lo..u_hi - 1 {
-                    w[self.u_rowind[p]] = 0.0;
-                }
-                return Err(RefactorFailure::Unstable);
-            }
-            u_out[u_hi - 1] = pivot;
-            for lp in l_lo..l_hi {
-                let i = self.l_rowind[lp];
-                l_out[lp] = w[i] / pivot;
-                w[i] = 0.0;
-            }
-        }
-        self.refactorizations += 1;
-        Ok(())
-    }
-
-    /// Solves `A·x = -b` with externally held L/U values over the cached
-    /// symbolic analysis — the per-lane solve of the batched sparse
-    /// backend. Mirrors [`SparseLu::solve_neg_into`] exactly.
-    pub(crate) fn solve_neg_with(
-        &mut self,
-        l_values: &[f64],
-        u_values: &[f64],
-        b: &[f64],
-        x: &mut [f64],
-    ) {
-        assert!(self.analyzed, "solve before factor");
-        let n = self.n;
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-        debug_assert_eq!(l_values.len(), self.l_rowind.len());
-        debug_assert_eq!(u_values.len(), self.u_rowind.len());
-        let w = &mut self.solve_work;
-        for i in 0..n {
-            w[self.pinv[i]] = -b[i];
-        }
-        for j in 0..n {
-            let wj = w[j];
-            if wj != 0.0 {
-                for p in self.l_colptr[j]..self.l_colptr[j + 1] {
-                    w[self.l_rowind[p]] -= l_values[p] * wj;
-                }
-            }
-        }
-        for j in (0..n).rev() {
-            let hi = self.u_colptr[j + 1];
-            let diag = u_values[hi - 1];
-            debug_assert_eq!(self.u_rowind[hi - 1], j);
-            let wj = w[j] / diag;
-            w[j] = wj;
-            if wj != 0.0 {
-                for p in self.u_colptr[j]..hi - 1 {
-                    w[self.u_rowind[p]] -= u_values[p] * wj;
-                }
-            }
-        }
-        for j in 0..n {
-            x[self.q[j]] = w[j];
-        }
-    }
-
     /// Residual `‖A·x − b‖∞` via the SIMD kernels — used by differential
     /// tests to cross-check sparse solves against dense ones.
     pub fn residual_norm(a: &CscMatrix, x: &[f64], b: &[f64], scratch: &mut [f64]) -> f64 {

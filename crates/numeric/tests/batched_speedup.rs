@@ -1,6 +1,7 @@
-//! Wall-clock gate for the batched sparse backend: a 1 000-sample
-//! Monte-Carlo over one shared symbolic schedule must solve at least 3×
-//! the points per second of the serial engine, with identical answers.
+//! Wall-clock gate for same-topology point sets: a 1 000-sample
+//! Monte-Carlo on one shared sparse Newton workspace (one symbolic
+//! analysis, refactored per point) must solve at least 3× the points per
+//! second of a fresh workspace per point, with identical answers.
 //!
 //! The only test in its file, so no sibling test shares the CPU while it
 //! is timed.
@@ -8,19 +9,16 @@
 use std::time::Instant;
 
 use nvpg_numeric::{
-    BatchedNewton, BatchedSparseLu, CscMatrix, DenseMatrix, LaneOutcome, NewtonOptions,
-    NewtonOutcome, NewtonSolver, NonlinearSystem, PatternBuilder, PeelReason, Rng64, SparsePattern,
+    CscMatrix, DenseMatrix, NewtonOptions, NewtonOutcome, NewtonSolver, NonlinearSystem,
+    PatternBuilder, Rng64, SparsePattern,
 };
 
 /// Unknowns of the Monte-Carlo system: an 18×18 grid flattened to MNA
 /// order, the size where the symbolic analysis costs ~10× one refactor,
-/// which is exactly what batching amortises.
+/// which is exactly what a shared workspace amortises.
 const UNKNOWNS: usize = 324;
 /// Monte-Carlo points.
 const POINTS: usize = 1000;
-/// Lock-step lanes per batch chunk (the production
-/// `DEFAULT_BATCH_LANES` width).
-const CHUNK: usize = 64;
 /// Seed of the variation stream.
 const SEED: u64 = 0x6d63505238;
 
@@ -38,7 +36,7 @@ struct GridMc {
 }
 
 impl GridMc {
-    /// Sample `i` of the variation stream (split streams: the lane count
+    /// Sample `i` of the variation stream (split streams: the solve order
     /// never changes the draw).
     fn sample(n: usize, seed: u64, i: u64) -> Self {
         let mut rng = Rng64::split(seed, i);
@@ -139,9 +137,9 @@ fn batched_monte_carlo_is_three_times_serial() {
     let n = UNKNOWNS;
     let opts = NewtonOptions::default();
 
-    // Serial: per point, the pattern, matrix and solver the serial
-    // Monte-Carlo loop builds, with the symbolic analysis paid inside the
-    // first factor.
+    // Serial: per point, the pattern, matrix and solver a standalone
+    // solve builds, with the symbolic analysis paid inside the first
+    // factor.
     let mut serial_x = vec![0.0f64; POINTS * n];
     let t0 = Instant::now();
     for (p, x) in serial_x.chunks_exact_mut(n).enumerate() {
@@ -155,47 +153,32 @@ fn batched_monte_carlo_is_three_times_serial() {
     }
     let serial_s = t0.elapsed().as_secs_f64();
 
-    // Batched: one symbolic schedule shared by every lane, `CHUNK`
-    // lock-step lanes at a time (wide enough to amortise the symbolic
-    // analysis, narrow enough that the per-lane L/U values stay in cache).
-    let mut batched_x = vec![0.0f64; POINTS * n];
-    let mut outcomes = vec![
-        LaneOutcome::Peeled {
-            iteration: 0,
-            reason: PeelReason::IterationLimit,
-        };
-        POINTS
-    ];
+    // Shared: one workspace for every point, so the first factor's
+    // symbolic analysis serves all later points through refactorisation.
+    let mut shared_x = vec![0.0f64; POINTS * n];
     let t0 = Instant::now();
-    let mut newton = BatchedNewton::new(BatchedSparseLu::new(&grid_pattern(n), CHUNK), opts);
-    for (c, (x, out)) in batched_x
-        .chunks_mut(CHUNK * n)
-        .zip(outcomes.chunks_mut(CHUNK))
-        .enumerate()
-    {
-        let mut systems: Vec<GridMc> = (c * CHUNK..c * CHUNK + out.len())
-            .map(|i| GridMc::sample(n, SEED, i as u64))
-            .collect();
-        newton.solve(&mut systems, x, out);
+    let mut solver = NewtonSolver::with_sparse(opts, &grid_pattern(n));
+    for (p, x) in shared_x.chunks_exact_mut(n).enumerate() {
+        let mut system = GridMc::sample(n, SEED, p as u64);
+        let outcome = solver.solve(&mut system, x);
+        assert!(
+            matches!(outcome, NewtonOutcome::Converged { .. }),
+            "shared-workspace point {p} failed to converge: {outcome:?}"
+        );
     }
-    let batched_s = t0.elapsed().as_secs_f64();
+    let shared_s = t0.elapsed().as_secs_f64();
 
-    let peeled = outcomes
-        .iter()
-        .filter(|o| matches!(o, LaneOutcome::Peeled { .. }))
-        .count();
-    assert_eq!(peeled, 0, "well-conditioned lanes peeled off the batch");
-    let mut devs = serial_x.iter().zip(&batched_x).map(|(s, b)| (s - b).abs());
+    let mut devs = serial_x.iter().zip(&shared_x).map(|(s, b)| (s - b).abs());
     let max_dev = devs.clone().fold(0.0f64, f64::max);
     // `all` also fails on a NaN deviation, which `f64::max` would skip.
     assert!(
         devs.all(|d| d < 1e-6),
-        "batched and serial solutions deviate by {max_dev:.3e}"
+        "shared-workspace and serial solutions deviate by {max_dev:.3e}"
     );
-    let speedup = serial_s / batched_s.max(1e-12);
+    let speedup = serial_s / shared_s.max(1e-12);
     assert!(
         speedup >= 3.0,
-        "batched Monte-Carlo is {speedup:.2}x serial points/s (gate: >= 3x; \
-         serial {serial_s:.3} s, batched {batched_s:.3} s)"
+        "shared-workspace Monte-Carlo is {speedup:.2}x serial points/s (gate: >= 3x; \
+         serial {serial_s:.3} s, shared {shared_s:.3} s)"
     );
 }

@@ -357,101 +357,6 @@ fn sparse_lu_refactor_and_solve_allocate_nothing() {
 }
 
 #[test]
-fn batched_dense_newton_allocates_nothing_after_setup() {
-    use nvpg_numeric::{BatchedDenseLu, BatchedNewton, LaneOutcome, PeelReason};
-
-    let n = 16;
-    let lanes = 8;
-    // Batch setup preallocates the SoA stacks (Jacobians, LU factors,
-    // permutations, residual/delta/mask buffers).
-    let mut newton = BatchedNewton::new(
-        BatchedDenseLu::new(n, lanes),
-        NewtonOptions {
-            max_step: f64::INFINITY,
-            ..NewtonOptions::default()
-        },
-    );
-    let mut systems: Vec<CubicNetwork> = (0..lanes)
-        .map(|_| CubicNetwork {
-            n,
-            cheap_residuals: false,
-        })
-        .collect();
-    let mut x = vec![0.5; lanes * n];
-    let mut outcomes = vec![
-        LaneOutcome::Peeled {
-            iteration: 0,
-            reason: PeelReason::IterationLimit,
-        };
-        lanes
-    ];
-
-    // Warm-up round, then the steady state must be allocation-free: no
-    // per-iteration or per-lane heap traffic.
-    newton.solve(&mut systems, &mut x, &mut outcomes);
-    let allocs = allocations_in(|| {
-        for round in 0..10 {
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi += 0.3 * (1.0 + (round + i % 7) as f64 * 0.01);
-            }
-            newton.solve(&mut systems, &mut x, &mut outcomes);
-            assert!(outcomes
-                .iter()
-                .all(|o| matches!(o, LaneOutcome::Converged { .. })));
-        }
-    });
-    assert_eq!(allocs, 0, "batched dense Newton steady state allocated");
-}
-
-#[test]
-fn batched_sparse_newton_allocates_nothing_after_setup() {
-    use nvpg_numeric::{BatchedNewton, BatchedSparseLu, LaneOutcome, PeelReason};
-
-    let n = 24;
-    let lanes = 6;
-    let mut newton = BatchedNewton::new(
-        BatchedSparseLu::new(&full_pattern(n), lanes),
-        NewtonOptions {
-            max_step: f64::INFINITY,
-            ..NewtonOptions::default()
-        },
-    );
-    let mut systems: Vec<CubicNetwork> = (0..lanes)
-        .map(|_| CubicNetwork {
-            n,
-            cheap_residuals: false,
-        })
-        .collect();
-    let mut x = vec![0.5; lanes * n];
-    let mut outcomes = vec![
-        LaneOutcome::Peeled {
-            iteration: 0,
-            reason: PeelReason::IterationLimit,
-        };
-        lanes
-    ];
-
-    // Warm-up: the first factor phase anchors the shared symbolic
-    // analysis and allocates the per-lane L/U value stacks.
-    newton.solve(&mut systems, &mut x, &mut outcomes);
-    let allocs = allocations_in(|| {
-        for round in 0..10 {
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi += 0.3 * (1.0 + (round + i % 5) as f64 * 0.01);
-            }
-            newton.solve(&mut systems, &mut x, &mut outcomes);
-            assert!(outcomes
-                .iter()
-                .all(|o| matches!(o, LaneOutcome::Converged { .. })));
-        }
-    });
-    assert_eq!(allocs, 0, "batched sparse Newton steady state allocated");
-    // One symbolic analysis served every lane of every round.
-    assert_eq!(newton.solver().sparse_lu().full_factorizations(), 1);
-    assert!(newton.solver().sparse_lu().refactorizations() >= lanes as u64 * 10);
-}
-
-#[test]
 fn lu_solve_into_allocates_nothing() {
     use nvpg_numeric::LuWorkspace;
 

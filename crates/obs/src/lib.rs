@@ -14,11 +14,11 @@
 //! ## Off by default, and cheap when off
 //!
 //! Everything hinges on one relaxed atomic flag. With tracing disabled
-//! (the default), [`span`] returns an inert guard without reading the
-//! clock, and [`Counter::add`] is a load-and-branch: no allocation, no
-//! lock, no syscall — verified by an allocator-counting integration
-//! test. Enable with [`enable`], typically from a `--trace`/`--profile`
-//! CLI flag.
+//! (the default), [`span`](fn@span) returns an inert guard without
+//! reading the clock, and [`Counter::add`] is a load-and-branch: no
+//! allocation, no lock, no syscall — verified by an allocator-counting
+//! integration test. Enable with [`enable`], typically from a
+//! `--trace`/`--profile` CLI flag.
 //!
 //! ## Spans
 //!

@@ -113,7 +113,7 @@ impl Gauge {
     }
 }
 
-/// The counter registry. Adding a counter here (and to [`ALL_COUNTERS`])
+/// The counter registry. Adding a counter here (and to `ALL_COUNTERS`)
 /// is the whole registration ceremony.
 pub mod counters {
     use super::Counter;
@@ -189,12 +189,13 @@ pub mod counters {
     /// report rather than killing the run.
     pub static ENGINE_CANCELLED_POINTS: Counter = Counter::new("engine.cancelled_points");
 
-    /// Parameter points solved through the batched (lock-step) solver
-    /// path. Reconciles against per-point totals: every batched point is
-    /// still one `solve.dc_solves` and one sample/grid entry.
+    /// Points of a multi-point shared-workspace DC solve
+    /// (`dc::operating_points`) that converged on the plain-Newton rung.
+    /// Reconciles against per-point totals: every such point is still one
+    /// `solve.dc_solves` and one sample/grid entry.
     pub static ENGINE_BATCHED_POINTS: Counter = Counter::new("engine.batched_points");
-    /// Lanes that peeled off a batch and were resolved by the serial
-    /// rescue ladder instead.
+    /// Points of a multi-point shared-workspace DC solve that needed a
+    /// later rescue rung, or failed.
     pub static ENGINE_BATCHED_PEELS: Counter = Counter::new("engine.batched_peels");
 
     /// Batches executed by the `/sweep`–`/bet` request coalescer (one

@@ -1,4 +1,5 @@
-//! Deterministic case generation for the shim's [`proptest!`] macro.
+//! Deterministic case generation for the shim's
+//! [`proptest!`](crate::proptest!) macro.
 
 /// The per-run case count: `PROPTEST_CASES` or 64.
 pub fn cases() -> u32 {

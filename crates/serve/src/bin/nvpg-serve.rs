@@ -5,7 +5,7 @@
 //!            [--queue-depth N] [--queue-per-client N]
 //!            [--default-timeout-ms MS] [--max-timeout-ms MS]
 //!            [--rate-limit-rps N] [--rate-limit-burst N]
-//!            [--watchdog-stall-ms MS] [--coalesce-window-ms MS] [--batch auto|serial|N]
+//!            [--watchdog-stall-ms MS] [--coalesce-window-ms MS]
 //!            [--debug-endpoints] [--trace]
 //! ```
 //!
@@ -45,7 +45,7 @@ fn usage() -> ! {
          [--queue-depth N] [--queue-per-client N] [--default-timeout-ms MS] \
          [--max-timeout-ms MS] [--rate-limit-rps N] [--rate-limit-burst N] \
          [--watchdog-stall-ms MS] [--coalesce-window-ms MS] \
-         [--batch auto|serial|N] [--debug-endpoints] [--trace]"
+         [--debug-endpoints] [--trace]"
     );
     std::process::exit(2);
 }
@@ -105,10 +105,6 @@ fn main() {
             },
             "--coalesce-window-ms" => match value("--coalesce-window-ms").parse() {
                 Ok(ms) => config.coalesce_window_ms = ms,
-                Err(_) => usage(),
-            },
-            "--batch" => match value("--batch").parse() {
-                Ok(mode) => nvpg_circuit::set_default_batch(mode),
                 Err(_) => usage(),
             },
             "--debug-endpoints" => config.debug_endpoints = true,

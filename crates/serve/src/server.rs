@@ -854,16 +854,9 @@ fn macro_report(_request: &Request, body: &Json, _shared: &Shared) -> Response {
         return Response::error(400, &format!("invalid macro spec: {e}"));
     }
     let params = nvpg_core::BenchmarkParams::fig7_default();
-    let points = match nvpg_core::bet_macro_scan(
-        rows,
-        cols,
-        mux,
-        &[granularity],
-        &[technology],
-        &params,
-        1,
-        nvpg_core::default_batch(),
-    ) {
+    let scan =
+        nvpg_core::bet_macro_scan(rows, cols, mux, &[granularity], &[technology], &params, 1);
+    let points = match scan {
         Ok(p) => p,
         Err(e) => return solver_error("macro scan", &e),
     };
@@ -903,12 +896,13 @@ const VTH_SCAN_COLS: usize = 4;
 
 /// Solves a `vth_shift` sweep: every shift is one varied cell design
 /// (both device cards shifted) whose 4×4 NVPG domain operating point
-/// solves as one lane of a batched stack, and the per-point BET is the
-/// first-order leakage-scaled closed-form crossing (`bet_design_scan`).
+/// solves on a Newton workspace shared with the other shifts, and the
+/// per-point BET is the first-order leakage-scaled closed-form crossing
+/// (`bet_design_scan`).
 ///
 /// `jobs` is pinned to 1: the daemon's worker pool provides the
-/// request-level concurrency, and the batched backend already solves
-/// the whole point set as one stack.
+/// request-level concurrency, and one worker already solves the whole
+/// point set on one workspace.
 fn solve_vth_scan(
     technology: &str,
     params: &nvpg_core::BenchmarkParams,
@@ -924,7 +918,6 @@ fn solve_vth_scan(
         VTH_SCAN_ROWS,
         VTH_SCAN_COLS,
         params,
-        nvpg_core::BatchMode::Auto,
         1,
     )
     .map_err(|e| Response::error(500, &format!("design scan: {e}")))?;
@@ -943,8 +936,8 @@ fn solve_vth_scan(
 /// The first three vary the analytic energy model's benchmark
 /// parameters (cheap closed-form/Brent solves); `vth_shift` runs real
 /// circuit solves — one varied design's domain operating point per
-/// value, batched ([`solve_vth_scan`]) — and is only defined for the
-/// NVPG architecture.
+/// value, all on one shared workspace ([`solve_vth_scan`]) — and is only
+/// defined for the NVPG architecture.
 ///
 /// The body reaches this handler with `values` already canonicalised to
 /// the sorted-unique point *set* (see [`cached`]); the response's

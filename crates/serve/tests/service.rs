@@ -351,11 +351,12 @@ fn vth_shift_sweep_solves_through_the_batched_scan() {
     assert_eq!(a.status, 200, "{}", a.text());
     let text = a.text();
     assert_eq!(text.matches("\"value\":").count(), 3, "{text}");
-    // Every shift is one varied design's domain operating point on the
-    // batched stack — the tentpole path, not the analytic model.
+    // Every shift is one varied design's domain operating point on a
+    // shared Newton workspace — a real circuit solve, not the analytic
+    // model.
     assert!(
         counters::ENGINE_BATCHED_POINTS.get() - batched0 >= 3,
-        "vth sweep solved off the batched path"
+        "vth sweep solved off the shared-workspace path"
     );
 
     // The scan is NVPG-specific; other vars stay unaffected.
