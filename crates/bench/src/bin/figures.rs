@@ -3,7 +3,6 @@
 //! ```text
 //! figures [IDS...] [--only ID] [--jobs N] [--csv DIR] [--svg DIR]
 //!         [--report FILE] [--full] [--macro] [--strict]
-//!         [--solver auto|dense|sparse]
 //!         [--fault-rate R] [--fault-seed S]
 //!         [--trace] [--profile] [--trace-dir DIR]
 //! ```
@@ -15,12 +14,6 @@
 //! the per-figure sweeps (default: available parallelism; `1` forces a
 //! serial run). Output is byte-identical for every `--jobs` value:
 //! figures run concurrently but print in paper order.
-//!
-//! `--solver` picks the linear-solver backend for every analysis in the
-//! run: `auto` (default) stays dense for cell-sized systems and goes
-//! sparse above the unknown-count threshold; `dense`/`sparse` force one
-//! backend everywhere. The choice is installed once at startup and is a
-//! process-wide default, so output stays byte-identical at any `--jobs`.
 //!
 //! The run is **fail-soft by default**: a figure whose simulation fails
 //! (or panics) becomes a gap, the remaining figures still render, and a
@@ -59,7 +52,7 @@ use nvpg_bench::svg::render_svg;
 use nvpg_bench::{render_text, summarize, to_csv};
 use nvpg_cells::design::CellDesign;
 use nvpg_circuit::fault::{with_fault_plan, FaultKind, FaultPlan};
-use nvpg_circuit::{CircuitError, RescueStats, SolverChoice};
+use nvpg_circuit::{CircuitError, RescueStats};
 use nvpg_core::{
     Experiments, PointStatus, RunReport, BET_FIGURE_IDS, EXTENSION_IDS, FIGURE_IDS,
     MACRO_FIGURE_IDS,
@@ -120,13 +113,6 @@ fn main() -> Result<(), Box<dyn Error>> {
                     .parse()
                     .map_err(|_| "--jobs requires an integer")?;
             }
-            "--solver" => {
-                let s = args
-                    .next()
-                    .ok_or("--solver requires auto, dense, or sparse")?;
-                let choice: SolverChoice = s.parse().map_err(|e| format!("{e}"))?;
-                nvpg_circuit::set_default_solver(choice);
-            }
             "--full" => full = true,
             "--macro" => with_macro = true,
             "--strict" => strict = true,
@@ -156,7 +142,6 @@ fn main() -> Result<(), Box<dyn Error>> {
                 println!(
                     "usage: figures [IDS...] [--only ID] [--jobs N] [--csv DIR] [--svg DIR] \
                      [--report FILE] [--full] [--macro] [--strict] \
-                     [--solver auto|dense|sparse] \
                      [--fault-rate R] [--fault-seed S] \
                      [--trace] [--profile] [--trace-dir DIR]"
                 );

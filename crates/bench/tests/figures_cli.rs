@@ -54,12 +54,17 @@ fn tracing_leaves_stdout_identical_and_writes_a_valid_trace() {
 
 #[test]
 fn unknown_flag_is_reported_as_a_flag() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--batch", "auto"])
-        .output()
-        .expect("run figures");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "`--batch auto` ran: {stderr}");
-    assert!(stderr.contains("unknown flag `--batch`"), "{stderr}");
-    assert!(out.stdout.is_empty(), "a figure ran before the usage error");
+    for [flag, value] in [["--batch", "auto"], ["--solver", "sparse"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args([flag, value])
+            .output()
+            .expect("run figures");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "`{flag} {value}` ran: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "a figure ran before the usage error");
+    }
 }

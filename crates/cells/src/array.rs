@@ -1,33 +1,32 @@
-//! The array engine every simulated NV-SRAM array runs on.
+//! The array layer every simulated NV-SRAM array is built on.
 //!
-//! OSR, NVPG and NOF differ only in *when* the same cells store, power
-//! off and restore (§III), so the cell, its power-switch header and the
-//! store → shutdown → restore recipes are written once, here. A netlist
-//! builder — the whole-domain [`DomainArray`](crate::domain::DomainArray)
-//! or the periphery-complete macro of `nvpg-macro` — lays out its own
-//! rails, wordlines, bitlines and periphery on an [`ArrayBuilder`], stamps
-//! its headers and gating groups, and places every cell with
-//! [`ArrayBuilder::cells`]. The solved [`CellArray`] runs each phase
-//! through one runner (sources freeze at their end levels, energy
-//! integrates `p(source)` over every tracked source) and addresses store,
-//! power-off and restore by **gating group**: one header and, for the
-//! nonvolatile kinds, one SR/CTRL pair per group.
+//! A netlist builder — the whole-domain
+//! [`DomainArray`](crate::domain::DomainArray) or the periphery-complete
+//! macro of `nvpg-macro` — lays out its own rails, wordlines, bitlines
+//! and periphery on an [`ArrayBuilder`], stamps its headers and gating
+//! groups, and places every cell with [`ArrayBuilder::cells`]. The solved
+//! [`CellArray`] runs on the same [`crate::engine`] phase engine as the
+//! single cell and the flip-flop, under the array step policy: store,
+//! power-off and restore address the engine's **gating groups** (one
+//! header and, for the nonvolatile kinds, one SR/CTRL pair per group), and
+//! every phase is folded into an [`ArrayPhase`] as it finishes, so an
+//! array never holds two phase traces at once.
 
 use std::ops::AddAssign;
 
 use nvpg_circuit::dc::{operating_point, operating_points, DcOptions};
-use nvpg_circuit::transient::{transient, TransientOptions};
 use nvpg_circuit::{Circuit, CircuitError, DcSolution, NodeId, SolverChoice, StepStats, Waveform};
 use nvpg_devices::finfet::FinFet;
 use nvpg_devices::mtj::MtjState;
 use nvpg_units::{Joules, Seconds};
 
-use crate::design::CellDesign;
+use crate::design::{CellDesign, OperatingConditions};
 use crate::domain::DomainKind;
+use crate::engine::{GatingGroup, PhaseEngine, PhaseResult, StepPolicy};
 
-/// Energy and duration of one array phase, or of a recipe's phases
-/// summed.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Energy and duration of one phase, or of an operation's phases summed:
+/// the trace-free result of array and flip-flop operations.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ArrayPhase {
     /// Total energy delivered by every source during the phase.
     pub energy: Joules,
@@ -39,6 +38,23 @@ impl AddAssign for ArrayPhase {
     fn add_assign(&mut self, other: ArrayPhase) {
         self.energy += other.energy;
         self.duration += other.duration;
+    }
+}
+
+impl From<PhaseResult> for ArrayPhase {
+    fn from(phase: PhaseResult) -> Self {
+        ArrayPhase {
+            energy: phase.energy,
+            duration: phase.duration,
+        }
+    }
+}
+
+impl Extend<PhaseResult> for ArrayPhase {
+    fn extend<I: IntoIterator<Item = PhaseResult>>(&mut self, phases: I) {
+        for phase in phases {
+            *self += phase.into();
+        }
     }
 }
 
@@ -71,15 +87,6 @@ struct Latch {
     qb: NodeId,
 }
 
-/// One gating group. Its control sources are `vpg{suffix}` and, on the
-/// nonvolatile kinds, `vsr{suffix}`/`vctrl{suffix}`.
-#[derive(Debug, Clone)]
-struct Group {
-    suffix: String,
-    /// `(SR, CTRL)` broadcast nodes; `None` for the volatile kind.
-    lines: Option<(NodeId, NodeId)>,
-}
-
 /// An array netlist under construction and, once its cells are placed,
 /// the prepared netlist whose operating point is not solved yet.
 ///
@@ -102,10 +109,9 @@ pub struct ArrayBuilder {
     kind: DomainKind,
     rows: usize,
     cols: usize,
-    groups: Vec<Group>,
+    groups: Vec<GatingGroup>,
     cells: Vec<Vec<Latch>>,
     sources: Vec<String>,
-    levels: Vec<f64>,
 }
 
 impl ArrayBuilder {
@@ -132,7 +138,6 @@ impl ArrayBuilder {
             groups: Vec::new(),
             cells: Vec::new(),
             sources: Vec::new(),
-            levels: Vec::new(),
         }
     }
 
@@ -151,7 +156,6 @@ impl ArrayBuilder {
     pub fn source(&mut self, name: &str, node: NodeId, level: f64) -> Result<(), CircuitError> {
         self.ckt.vsource(name, node, Circuit::GROUND, level)?;
         self.sources.push(name.to_owned());
-        self.levels.push(level);
         Ok(())
     }
 
@@ -211,7 +215,7 @@ impl ArrayBuilder {
         } else {
             None
         };
-        self.groups.push(Group {
+        self.groups.push(GatingGroup {
             suffix: suffix.to_owned(),
             lines,
         });
@@ -307,19 +311,20 @@ impl ArrayBuilder {
     }
 
     fn finish(self, state: DcSolution) -> CellArray {
+        let engine = PhaseEngine::new(
+            self.ckt,
+            state,
+            self.design.conditions,
+            StepPolicy::Array(self.opts.solver),
+            self.sources,
+            self.groups,
+        );
         CellArray {
-            ckt: self.ckt,
-            design: self.design,
+            engine,
             kind: self.kind,
             rows: self.rows,
             cols: self.cols,
-            solver: self.opts.solver,
-            groups: self.groups,
             cells: self.cells,
-            state,
-            sources: self.sources,
-            levels: self.levels,
-            stats: StepStats::default(),
         }
     }
 
@@ -353,24 +358,15 @@ impl ArrayBuilder {
     }
 }
 
-/// A solved array: the engine's state probes, phase runner and
-/// gating-group recipes.
+/// A solved array: its cells' state probes on the phase engine, and the
+/// engine's gating-group recipes folded into [`ArrayPhase`]s.
 #[derive(Debug)]
 pub struct CellArray {
-    ckt: Circuit,
-    design: CellDesign,
+    engine: PhaseEngine,
     kind: DomainKind,
     rows: usize,
     cols: usize,
-    solver: SolverChoice,
-    groups: Vec<Group>,
     cells: Vec<Vec<Latch>>,
-    state: DcSolution,
-    sources: Vec<String>,
-    /// Current DC level of every source (phase continuity).
-    levels: Vec<f64>,
-    /// Step/solver telemetry accumulated across every phase run so far.
-    stats: StepStats,
 }
 
 impl CellArray {
@@ -389,43 +385,40 @@ impl CellArray {
         self.kind
     }
 
-    /// The cell design point.
-    pub(crate) fn design(&self) -> &CellDesign {
-        &self.design
+    /// The operating conditions the recipes drive the array with.
+    pub(crate) fn conditions(&self) -> &OperatingConditions {
+        self.engine.conditions()
     }
 
     /// MNA unknown count of the netlist.
     pub fn unknown_count(&self) -> usize {
-        self.ckt.unknown_count()
+        self.engine.circuit().unknown_count()
     }
 
     /// The netlist.
     pub fn circuit(&self) -> &Circuit {
-        &self.ckt
+        self.engine.circuit()
     }
 
     /// The current DC state.
     pub fn state(&self) -> &DcSolution {
-        &self.state
+        self.engine.state()
     }
 
     /// Total static power delivered by every source in the current DC
     /// state (W) — the array's leakage in whatever mode it sits in.
     pub fn static_power(&self) -> f64 {
-        self.sources
-            .iter()
-            .zip(&self.levels)
-            .map(|(n, &v)| self.state.source_power(n, v).unwrap_or(0.0))
-            .sum()
+        self.engine.static_power()
     }
 
     /// Smallest `|V(Q) − V(QB)|` over all cells (V): the worst per-cell
     /// storage margin in the current state.
     pub fn min_storage_margin(&self) -> f64 {
+        let state = self.engine.state();
         self.cells
             .iter()
             .flatten()
-            .map(|cell| (self.state.voltage(cell.q) - self.state.voltage(cell.qb)).abs())
+            .map(|cell| (state.voltage(cell.q) - state.voltage(cell.qb)).abs())
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -434,12 +427,12 @@ impl CellArray {
     /// read this after a sequence; [`reset_step_stats`](Self::reset_step_stats)
     /// starts a fresh window.
     pub fn step_stats(&self) -> &StepStats {
-        &self.stats
+        self.engine.step_stats()
     }
 
     /// Clears the accumulated step telemetry.
     pub fn reset_step_stats(&mut self) {
-        self.stats = StepStats::default();
+        self.engine.reset_step_stats();
     }
 
     /// The latched data of cell `(row, col)` in the current state.
@@ -449,7 +442,8 @@ impl CellArray {
     /// Panics if the indices are out of range.
     pub fn data(&self, row: usize, col: usize) -> bool {
         let cell = &self.cells[row][col];
-        self.state.voltage(cell.q) > self.state.voltage(cell.qb)
+        let state = self.engine.state();
+        state.voltage(cell.q) > state.voltage(cell.qb)
     }
 
     /// The whole data pattern.
@@ -460,57 +454,25 @@ impl CellArray {
     }
 
     /// Retention-element states of cell `(row, col)` as `(Q side, QB
-    /// side)`, decoded through the shared `"state"` signal convention
-    /// (high-resistance ⇒ `AntiParallel`), so the same decode works for
-    /// every [`RetentionKind`](crate::design::RetentionKind); `None` for
+    /// side)`, decoded the same way for every
+    /// [`RetentionKind`](crate::design::RetentionKind); `None` for
     /// volatile (OSR) arrays.
     pub fn mtj_states(&self, row: usize, col: usize) -> Option<(MtjState, MtjState)> {
-        let decode = |name: String| -> Option<MtjState> {
-            let st = self.ckt.device_state(&name)?;
-            let v = st.iter().find(|(l, _)| l == "state")?.1;
-            Some(if v > 0.5 {
-                MtjState::AntiParallel
-            } else {
-                MtjState::Parallel
-            })
-        };
         Some((
-            decode(format!("xl_r{row}c{col}"))?,
-            decode(format!("xr_r{row}c{col}"))?,
+            self.engine.retention_state(&format!("xl_r{row}c{col}"))?,
+            self.engine.retention_state(&format!("xr_r{row}c{col}"))?,
         ))
     }
 
-    fn source_index(&self, name: &str) -> usize {
-        self.sources
-            .iter()
-            .position(|n| n == name)
-            .unwrap_or_else(|| panic!("unknown source {name}"))
+    /// A `(source, wave)` override ramping source `name` from its
+    /// current level to `to` over one edge time.
+    pub(crate) fn ramp<'a>(&self, name: &'a str, to: f64) -> (&'a str, Waveform) {
+        (name, self.engine.ramp(name, to))
     }
 
-    /// An edge-time ramp of source `name` from its current level to `to`.
-    pub(crate) fn ramp(&self, name: &str, to: f64) -> (String, Waveform) {
-        let from = self.levels[self.source_index(name)];
-        let e = self.design.conditions.edge_time;
-        (name.to_owned(), Waveform::Pwl(vec![(0.0, from), (e, to)]))
-    }
-
-    /// Ramps of the listed `(line, target)` control lines (`"pg"`,
-    /// `"sr"`, `"ctrl"`) of every listed gating group.
-    fn group_ramps(&self, groups: &[usize], lines: &[(&str, f64)]) -> Vec<(String, Waveform)> {
-        groups
-            .iter()
-            .flat_map(|&g| {
-                let suffix = &self.groups[g].suffix;
-                lines
-                    .iter()
-                    .map(move |&(line, to)| self.ramp(&format!("v{line}{suffix}"), to))
-            })
-            .collect()
-    }
-
-    /// Runs a phase of `duration` with waveform overrides, continuing
-    /// from the current state: every overridden source freezes at its end
-    /// value afterwards, and the returned energy integrates over every
+    /// Runs the phase `name` of `duration` with waveform overrides,
+    /// continuing from the current state: every overridden source freezes
+    /// at its end value afterwards, and the energy integrates over every
     /// tracked source.
     ///
     /// # Errors
@@ -522,43 +484,11 @@ impl CellArray {
     /// Panics if a waveform names an untracked source.
     pub fn phase(
         &mut self,
+        name: &str,
         duration: f64,
-        waves: &[(String, Waveform)],
+        waves: &[(&str, Waveform)],
     ) -> Result<ArrayPhase, CircuitError> {
-        for (src, wave) in waves {
-            self.ckt.set_source(src, wave.clone())?;
-        }
-        let opts = TransientOptions {
-            t_stop: duration,
-            dt_max: (duration / 100.0).clamp(1e-12, 200e-12),
-            dt_init: 1e-12,
-            // Array-scale performance levers: keep the LU across quiescent
-            // steps and skip re-evaluating devices whose terminals barely
-            // moved — most of the array is idle in any given phase.
-            device_bypass_tol: 1e-6,
-            solver: self.solver,
-            ..TransientOptions::default()
-        };
-        let result = transient(&mut self.ckt, &opts, &self.state)?;
-        self.stats += result.steps;
-        self.state = result.final_state;
-        for (src, wave) in waves {
-            let end = wave.value(duration);
-            self.ckt.set_source(src, end)?;
-            let idx = self.source_index(src);
-            self.levels[idx] = end;
-        }
-        let mut energy = 0.0;
-        for name in &self.sources {
-            energy += result
-                .trace
-                .integral(&format!("p({name})"))
-                .expect("power signal recorded");
-        }
-        Ok(ArrayPhase {
-            energy: Joules(energy),
-            duration: Seconds(duration),
-        })
+        Ok(self.engine.run(name, duration, waves)?.into())
     }
 
     /// Panics unless the array has retention elements to `what`.
@@ -567,13 +497,6 @@ impl CellArray {
             self.kind.is_nonvolatile(),
             "OSR arrays have no retention elements to {what}"
         );
-    }
-
-    fn assert_groups(&self, groups: &[usize]) {
-        let n = self.groups.len();
-        for &g in groups {
-            assert!(g < n, "gating group {g} out of range (array has {n})");
-        }
     }
 
     /// Two-step store of the listed gating groups: SR up with CTRL low
@@ -588,25 +511,13 @@ impl CellArray {
     ///
     /// Panics on an OSR array or an out-of-range group index.
     pub fn store(&mut self, groups: &[usize]) -> Result<ArrayPhase, CircuitError> {
-        self.assert_nv("store");
-        self.assert_groups(groups);
-        let c = self.design.conditions;
-        let t = c.store_duration;
-        // Each phase's ramps must read the *current* source levels, so
-        // every wave list is built just before its phase runs.
-        let w = self.group_ramps(groups, &[("sr", c.v_sr), ("ctrl", 0.0)]);
-        let mut total = self.phase(t, &w)?;
-        let w = self.group_ramps(groups, &[("ctrl", c.v_ctrl_store)]);
-        total += self.phase(t, &w)?;
-        let w = self.group_ramps(groups, &[("sr", 0.0), ("ctrl", 0.0)]);
-        total += self.phase(1e-9, &w)?;
-        Ok(total)
+        self.engine.store(groups)
     }
 
     /// Powers the listed gating groups off through their headers (super
-    /// cutoff when `super_cutoff`). Bitlines are left to the builder — a
-    /// macro's awake banks keep using them. Per the paper's architecture
-    /// semantics the volatile baseline never powers off — it
+    /// cutoff when `super_cutoff`) for 2 ns. Bitlines are left to the
+    /// builder — a macro's awake banks keep using them. Per the paper's
+    /// architecture semantics the volatile baseline never powers off — it
     /// [`sleep`](Self::sleep)s.
     ///
     /// # Errors
@@ -622,19 +533,11 @@ impl CellArray {
         super_cutoff: bool,
     ) -> Result<ArrayPhase, CircuitError> {
         self.assert_nv("power off");
-        self.assert_groups(groups);
-        let c = self.design.conditions;
-        let v_pg = if super_cutoff {
-            c.v_pg_super
-        } else {
-            c.v_pg_off
-        };
-        let w = self.group_ramps(groups, &[("pg", v_pg)]);
-        self.phase(2e-9, &w)
+        Ok(self.engine.power_off(groups, super_cutoff, 2e-9)?.into())
     }
 
-    /// Restores the listed gating groups: SR on, slow header turn-on, SR
-    /// off, CTRL back to normal — every cell of the groups recovers its
+    /// Restores the listed gating groups (SR on, slow header turn-on, SR
+    /// off, CTRL back to normal): every cell of the groups recovers its
     /// data from the retention elements' resistance imbalance at once.
     ///
     /// # Errors
@@ -645,48 +548,19 @@ impl CellArray {
     ///
     /// Panics on an OSR array or an out-of-range group index.
     pub fn restore(&mut self, groups: &[usize]) -> Result<ArrayPhase, CircuitError> {
-        self.assert_nv("restore");
-        self.assert_groups(groups);
-        let c = self.design.conditions;
-        let dur = c.restore_duration;
-        let e = c.edge_time;
-        let mut waves = Vec::with_capacity(3 * groups.len());
-        for &g in groups {
-            let s = &self.groups[g].suffix;
-            let (sr, pg, ctrl) = (format!("vsr{s}"), format!("vpg{s}"), format!("vctrl{s}"));
-            let level = |name: &str| self.levels[self.source_index(name)];
-            let sr_wave = Waveform::Pwl(vec![
-                (0.0, level(&sr)),
-                (e, c.v_sr),
-                (0.7 * dur, c.v_sr),
-                (0.7 * dur + e, 0.0),
-            ]);
-            let pg_wave = Waveform::Pwl(vec![
-                (0.0, level(&pg)),
-                (0.05 * dur, level(&pg)),
-                (0.45 * dur, 0.0),
-            ]);
-            let ctrl_wave = Waveform::Pwl(vec![
-                (0.0, level(&ctrl)),
-                (0.7 * dur, level(&ctrl)),
-                (0.7 * dur + e, c.v_ctrl_normal),
-            ]);
-            waves.extend([(sr, sr_wave), (pg, pg_wave), (ctrl, ctrl_wave)]);
-        }
-        self.phase(dur, &waves)
+        Ok(self.engine.restore(groups)?.into())
     }
 
-    /// Enters the low-voltage retention mode array-wide: the supply drops
-    /// to `vdd_sleep` (and every group's CTRL to its sleep bias on the
-    /// nonvolatile kinds). Data is retained — this is the OSR standby
-    /// state.
+    /// Enters the low-voltage retention mode array-wide over 2 ns: the
+    /// supply drops to `vdd_sleep` (and every group's CTRL to its sleep
+    /// bias on the nonvolatile kinds). Data is retained — this is the OSR
+    /// standby state.
     ///
     /// # Errors
     ///
     /// Propagates transient non-convergence.
     pub fn sleep(&mut self) -> Result<ArrayPhase, CircuitError> {
-        let c = self.design.conditions;
-        self.supply_mode(c.vdd_sleep, c.v_ctrl_sleep)
+        Ok(self.engine.sleep(2e-9)?.into())
     }
 
     /// Returns from sleep to the normal operating mode array-wide.
@@ -695,17 +569,7 @@ impl CellArray {
     ///
     /// Propagates transient non-convergence.
     pub fn wake(&mut self) -> Result<ArrayPhase, CircuitError> {
-        let c = self.design.conditions;
-        self.supply_mode(c.vdd, c.v_ctrl_normal)
-    }
-
-    fn supply_mode(&mut self, vdd: f64, v_ctrl: f64) -> Result<ArrayPhase, CircuitError> {
-        let mut waves = vec![self.ramp("vdd", vdd)];
-        if self.kind.is_nonvolatile() {
-            let all: Vec<usize> = (0..self.groups.len()).collect();
-            waves.extend(self.group_ramps(&all, &[("ctrl", v_ctrl)]));
-        }
-        self.phase(2e-9, &waves)
+        Ok(self.engine.wake()?.into())
     }
 
     /// Lets the array sit for `duration` in its current mode.
@@ -714,6 +578,6 @@ impl CellArray {
     ///
     /// Propagates transient non-convergence.
     pub fn hold(&mut self, duration: f64) -> Result<ArrayPhase, CircuitError> {
-        self.phase(duration, &[])
+        Ok(self.engine.hold(duration)?.into())
     }
 }

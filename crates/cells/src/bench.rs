@@ -1,35 +1,22 @@
 //! The cell test bench: a built cell plus phase-sequenced simulation.
 //!
 //! [`CellBench`] owns one cell netlist and chains transient phases through
-//! it, mirroring how the paper drives a cell through the Fig. 5 benchmark
-//! sequences. Each phase reprograms the drive waveforms (always starting
-//! from the previous DC level, so nothing jumps), runs a transient
-//! continuing from the previous final state, and reports the energy all
-//! sources delivered during the phase.
+//! it on the [`crate::engine`] phase engine, mirroring how the paper drives
+//! a cell through the Fig. 5 benchmark sequences. Each phase reprograms the
+//! drive waveforms (always starting from the previous DC level, so nothing
+//! jumps), runs a transient continuing from the previous final state, and
+//! reports the energy all sources delivered during the phase. The bench
+//! adds only the cell's own operations — read, write and the per-mode
+//! static power — to the engine's sleep, wake, store, power-off and
+//! restore recipes.
 
-use nvpg_circuit::dc::{operating_point, DcOptions};
-use nvpg_circuit::transient::{transient, TransientOptions};
-use nvpg_circuit::{Circuit, CircuitError, DcSolution, StepStats, Trace, Waveform};
+use nvpg_circuit::dc::operating_point;
+use nvpg_circuit::{Circuit, CircuitError, DcSolution, Waveform};
 use nvpg_devices::mtj::MtjState;
-use nvpg_units::{Joules, Seconds};
 
 use crate::cell::{build_cell, sources, CellKind, CellNodes, MtjConfig};
-use crate::design::CellDesign;
-
-/// Result of one simulated phase.
-#[derive(Debug, Clone)]
-pub struct PhaseResult {
-    /// Phase label (e.g. `"read"`, `"store-H"`).
-    pub name: String,
-    /// Phase duration.
-    pub duration: Seconds,
-    /// Total energy delivered by all sources during the phase.
-    pub energy: Joules,
-    /// Recorded waveforms (phase-local time axis starting at 0).
-    pub trace: Trace,
-    /// Step-control and solver-reuse telemetry for the phase transient.
-    pub steps: StepStats,
-}
+use crate::design::{CellDesign, OperatingConditions};
+use crate::engine::{GatingGroup, PhaseEngine, PhaseResult, StepPolicy};
 
 /// Operating modes used for static (DC) characterisation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,28 +33,26 @@ pub enum Mode {
     },
 }
 
-/// The per-source DC levels currently applied (used as waveform start
-/// points so phases never make sources jump).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Levels {
-    vdd: f64,
-    vpg: f64,
-    vwl: f64,
-    vbl: f64,
-    vblb: f64,
-    vsr: f64,
-    vctrl: f64,
+/// The read/write wordline pulse at `v`: up from `0.1·T` to `0.7·T` of
+/// the cycle.
+fn wordline_pulse(c: &OperatingConditions, v: f64) -> Waveform {
+    let (t, e) = (c.cycle_time(), c.edge_time);
+    Waveform::Pwl(vec![
+        (0.0, 0.0),
+        (0.1 * t, 0.0),
+        (0.1 * t + e, v),
+        (0.7 * t, v),
+        (0.7 * t + e, 0.0),
+    ])
 }
 
 /// A built cell plus the simulation state to run operations against it.
 #[derive(Debug)]
 pub struct CellBench {
-    ckt: Circuit,
+    engine: PhaseEngine,
     nodes: CellNodes,
     design: CellDesign,
     kind: CellKind,
-    state: DcSolution,
-    levels: Levels,
 }
 
 impl CellBench {
@@ -86,30 +71,34 @@ impl CellBench {
         let mut ckt = Circuit::new();
         let nodes = build_cell(&mut ckt, &design, kind, mtjs)?;
         let c = design.conditions;
-        let levels = Levels {
-            vdd: c.vdd,
-            vpg: 0.0,
-            vwl: 0.0,
-            vbl: c.vdd,
-            vblb: c.vdd,
-            vsr: 0.0,
-            vctrl: c.v_ctrl_normal,
+        let state = operating_point(&mut ckt, &nodes.hold_options(c.vdd, data_q))?;
+        let mut tracked = vec![
+            sources::VDD,
+            sources::VPG,
+            sources::VWL,
+            sources::VBL,
+            sources::VBLB,
+        ];
+        if nodes.nv.is_some() {
+            tracked.extend([sources::VSR, sources::VCTRL]);
+        }
+        let group = GatingGroup {
+            suffix: String::new(),
+            lines: nodes.nv.map(|nv| (nv.sr, nv.ctrl)),
         };
-        let (vq, vqb) = if data_q { (c.vdd, 0.0) } else { (0.0, c.vdd) };
-        let opts = DcOptions::default()
-            .with_nodeset(nodes.q, vq)
-            .with_nodeset(nodes.qb, vqb)
-            .with_nodeset(nodes.vvdd, c.vdd)
-            .with_nodeset(nodes.bl, c.vdd)
-            .with_nodeset(nodes.blb, c.vdd);
-        let state = operating_point(&mut ckt, &opts)?;
-        Ok(CellBench {
+        let engine = PhaseEngine::new(
             ckt,
+            state,
+            c,
+            StepPolicy::Cell,
+            tracked.into_iter().map(String::from).collect(),
+            vec![group],
+        );
+        Ok(CellBench {
+            engine,
             nodes,
             design,
             kind,
-            state,
-            levels,
         })
     }
 
@@ -130,10 +119,8 @@ impl CellBench {
 
     /// Storage-node voltages `(v(Q), v(QB))` in the current state.
     pub fn storage_voltages(&self) -> (f64, f64) {
-        (
-            self.state.voltage(self.nodes.q),
-            self.state.voltage(self.nodes.qb),
-        )
+        let state = self.engine.state();
+        (state.voltage(self.nodes.q), state.voltage(self.nodes.qb))
     }
 
     /// The currently latched data, judged by `v(Q) > v(QB)`.
@@ -144,126 +131,10 @@ impl CellBench {
 
     /// Current MTJ states `(Q side, QB side)` (NV cells only).
     pub fn mtj_states(&self) -> Option<(MtjState, MtjState)> {
-        let decode = |name: &str| -> Option<MtjState> {
-            let st = self.ckt.device_state(name)?;
-            let v = st.iter().find(|(l, _)| l == "state")?.1;
-            Some(if v > 0.5 {
-                MtjState::AntiParallel
-            } else {
-                MtjState::Parallel
-            })
-        };
-        Some((decode("xl")?, decode("xr")?))
-    }
-
-    fn level_of(&self, source: &str) -> f64 {
-        match source {
-            sources::VDD => self.levels.vdd,
-            sources::VPG => self.levels.vpg,
-            sources::VWL => self.levels.vwl,
-            sources::VBL => self.levels.vbl,
-            sources::VBLB => self.levels.vblb,
-            sources::VSR => self.levels.vsr,
-            sources::VCTRL => self.levels.vctrl,
-            _ => 0.0,
-        }
-    }
-
-    fn store_level(&mut self, source: &str, value: f64) {
-        match source {
-            sources::VDD => self.levels.vdd = value,
-            sources::VPG => self.levels.vpg = value,
-            sources::VWL => self.levels.vwl = value,
-            sources::VBL => self.levels.vbl = value,
-            sources::VBLB => self.levels.vblb = value,
-            sources::VSR => self.levels.vsr = value,
-            sources::VCTRL => self.levels.vctrl = value,
-            _ => {}
-        }
-    }
-
-    /// A PWL ramp from the source's current level to `to`, starting at
-    /// `t0` and taking the design edge time.
-    fn ramp_from(&self, source: &str, t0: f64, to: f64) -> Waveform {
-        let from = self.level_of(source);
-        let edge = self.design.conditions.edge_time;
-        Waveform::Pwl(vec![
-            (0.0, from),
-            (t0.max(0.0), from),
-            (t0.max(0.0) + edge, to),
-        ])
-    }
-
-    /// Runs one transient phase of `duration`, applying the given waveform
-    /// overrides (all other sources hold their current level).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient non-convergence.
-    pub fn phase(
-        &mut self,
-        name: &str,
-        duration: f64,
-        waves: &[(&str, Waveform)],
-    ) -> Result<PhaseResult, CircuitError> {
-        let _span = nvpg_obs::span_labeled("phase", name);
-        for (src, wave) in waves {
-            self.ckt.set_source(src, wave.clone())?;
-        }
-        let opts = TransientOptions {
-            t_stop: duration,
-            // The LTE controller owns accuracy, so the hard cap only needs
-            // to bound the trace sampling interval: ≥ 50 samples per phase,
-            // at most 2 ns per step. (The pre-LTE cap of duration/400
-            // clamped to 100 ps forced long sleep/shutdown phases to
-            // thousands of steps regardless of how quiescent they were.)
-            dt_max: (duration / 50.0).clamp(1e-12, 2e-9),
-            dt_init: 1e-12,
-            // 3 mV per 0.9 V swing: far inside the few-percent agreement
-            // the paper figures are compared at, and ~√3 fewer steps than
-            // the 1 mV default through the switching edges.
-            lte_reltol: 3e-3,
-            lte_abstol: 3e-6,
-            record_device_state: matches!(self.kind, CellKind::NvSram),
-            // FinFET/MTJ stamps are reused while no terminal moved more
-            // than 1 µV; the induced current error is bounded by g·1 µV,
-            // orders below the femtojoule energies the figures resolve.
-            device_bypass_tol: 1e-6,
-            ..TransientOptions::default()
-        };
-        let result = transient(&mut self.ckt, &opts, &self.state)?;
-        self.state = result.final_state;
-
-        // Freeze every overridden source at its end-of-phase value so the
-        // next phase starts from there.
-        for (src, wave) in waves {
-            let end = wave.value(duration);
-            self.ckt.set_source(src, end)?;
-            self.store_level(src, end);
-        }
-
-        let mut energy = 0.0;
-        for src in [
-            sources::VDD,
-            sources::VPG,
-            sources::VWL,
-            sources::VBL,
-            sources::VBLB,
-            sources::VSR,
-            sources::VCTRL,
-        ] {
-            let sig = format!("p({src})");
-            if result.trace.signal(&sig).is_ok() {
-                energy += result.trace.integral(&sig).expect("signal exists");
-            }
-        }
-        Ok(PhaseResult {
-            name: name.to_owned(),
-            duration: Seconds(duration),
-            energy: Joules(energy),
-            trace: result.trace,
-            steps: result.steps,
-        })
+        Some((
+            self.engine.retention_state("xl")?,
+            self.engine.retention_state("xr")?,
+        ))
     }
 
     /// Holds the present bias point for `duration` (idle phase).
@@ -272,7 +143,7 @@ impl CellBench {
     ///
     /// Propagates transient non-convergence.
     pub fn idle(&mut self, duration: f64) -> Result<PhaseResult, CircuitError> {
-        self.phase("idle", duration, &[])
+        self.engine.run::<&str>("idle", duration, &[])
     }
 
     /// One read cycle at the design frequency: wordline pulse with both
@@ -283,23 +154,14 @@ impl CellBench {
     /// Propagates transient non-convergence.
     pub fn read(&mut self) -> Result<PhaseResult, CircuitError> {
         let c = self.design.conditions;
-        let t = c.cycle_time();
-        let e = c.edge_time;
         // Wordline underdrive (read assist): a weaker access transistor
         // disturbs the cell less during reads.
-        let v_wl = c.vdd - c.wl_underdrive;
-        let wl = Waveform::Pwl(vec![
-            (0.0, 0.0),
-            (0.1 * t, 0.0),
-            (0.1 * t + e, v_wl),
-            (0.7 * t, v_wl),
-            (0.7 * t + e, 0.0),
-        ]);
-        let bl = self.ramp_from(sources::VBL, 0.0, c.vdd);
-        let blb = self.ramp_from(sources::VBLB, 0.0, c.vdd);
-        self.phase(
+        let wl = wordline_pulse(&c, c.vdd - c.wl_underdrive);
+        let bl = self.engine.ramp(sources::VBL, c.vdd);
+        let blb = self.engine.ramp(sources::VBLB, c.vdd);
+        self.engine.run(
             "read",
-            t,
+            c.cycle_time(),
             &[(sources::VWL, wl), (sources::VBL, bl), (sources::VBLB, blb)],
         )
     }
@@ -325,16 +187,10 @@ impl CellBench {
                 (0.8 * t + e, c.vdd),
             ])
         };
-        let wl = Waveform::Pwl(vec![
-            (0.0, 0.0),
-            (0.1 * t, 0.0),
-            (0.1 * t + e, c.vdd),
-            (0.7 * t, c.vdd),
-            (0.7 * t + e, 0.0),
-        ]);
-        let bl = drive(self.level_of(sources::VBL), bl_target);
-        let blb = drive(self.level_of(sources::VBLB), blb_target);
-        self.phase(
+        let wl = wordline_pulse(&c, c.vdd);
+        let bl = drive(self.engine.level(sources::VBL), bl_target);
+        let blb = drive(self.engine.level(sources::VBLB), blb_target);
+        self.engine.run(
             "write",
             t,
             &[(sources::VWL, wl), (sources::VBL, bl), (sources::VBLB, blb)],
@@ -342,93 +198,37 @@ impl CellBench {
     }
 
     /// Enters the sleep (low-voltage retention) mode and holds it for
-    /// `duration`: supply ramps to 0.7 V, CTRL drops to its sleep bias.
+    /// `duration`: supply at 0.7 V, CTRL at its sleep bias.
     ///
     /// # Errors
     ///
     /// Propagates transient non-convergence.
     pub fn sleep(&mut self, duration: f64) -> Result<PhaseResult, CircuitError> {
-        let c = self.design.conditions;
-        let mut waves = vec![(sources::VDD, self.ramp_from(sources::VDD, 0.0, c.vdd_sleep))];
-        if matches!(self.kind, CellKind::NvSram) {
-            waves.push((
-                sources::VCTRL,
-                self.ramp_from(sources::VCTRL, 0.0, c.v_ctrl_sleep),
-            ));
-        }
-        self.phase("sleep", duration, &waves)
+        self.engine.sleep(duration)
     }
 
-    /// Returns from sleep (or from a restore) to the normal operation
-    /// point: full V_DD, switch on, SR off, CTRL at its normal bias.
+    /// Returns from sleep or a restore to the normal operating point:
+    /// full V_DD, CTRL at its normal bias.
     ///
     /// # Errors
     ///
     /// Propagates transient non-convergence.
     pub fn wake_normal(&mut self) -> Result<PhaseResult, CircuitError> {
-        let c = self.design.conditions;
-        let mut waves = vec![
-            (sources::VDD, self.ramp_from(sources::VDD, 0.0, c.vdd)),
-            (sources::VPG, self.ramp_from(sources::VPG, 0.0, 0.0)),
-        ];
-        if matches!(self.kind, CellKind::NvSram) {
-            waves.push((sources::VSR, self.ramp_from(sources::VSR, 0.0, 0.0)));
-            waves.push((
-                sources::VCTRL,
-                self.ramp_from(sources::VCTRL, 0.0, c.v_ctrl_normal),
-            ));
-        }
-        self.phase("wake", 2e-9, &waves)
+        self.engine.wake()
     }
 
-    /// The two-step store operation (§III): H-store (SR on, CTRL low)
-    /// then L-store (CTRL raised to its store level), each for the design
-    /// store duration, then SR/CTRL return to zero.
+    /// The two-step store (§III): the phases `store-H` (SR on, CTRL low),
+    /// `store-L` (CTRL at its store level) and `store-end`.
     ///
     /// # Errors
     ///
-    /// Propagates transient non-convergence; returns the three phases
-    /// `store-H`, `store-L`, `store-end`.
+    /// Propagates transient non-convergence.
     ///
     /// # Panics
     ///
     /// Panics if called on a volatile 6T cell.
-    #[allow(clippy::vec_init_then_push)] // the three phases must run in order
     pub fn store(&mut self) -> Result<Vec<PhaseResult>, CircuitError> {
-        assert!(
-            matches!(self.kind, CellKind::NvSram),
-            "store requires an NV-SRAM cell"
-        );
-        let c = self.design.conditions;
-        let mut phases = Vec::new();
-        // Step 1: H-store. SR up, CTRL to 0.
-        phases.push(self.phase(
-            "store-H",
-            c.store_duration,
-            &[
-                (sources::VSR, self.ramp_from(sources::VSR, 0.0, c.v_sr)),
-                (sources::VCTRL, self.ramp_from(sources::VCTRL, 0.0, 0.0)),
-            ],
-        )?);
-        // Step 2: L-store. CTRL raised with SR held.
-        phases.push(self.phase(
-            "store-L",
-            c.store_duration,
-            &[(
-                sources::VCTRL,
-                self.ramp_from(sources::VCTRL, 0.0, c.v_ctrl_store),
-            )],
-        )?);
-        // Wind-down: SR and CTRL to zero (ready for shutdown).
-        phases.push(self.phase(
-            "store-end",
-            1e-9,
-            &[
-                (sources::VSR, self.ramp_from(sources::VSR, 0.0, 0.0)),
-                (sources::VCTRL, self.ramp_from(sources::VCTRL, 0.0, 0.0)),
-            ],
-        )?);
-        Ok(phases)
+        self.engine.store(&[0])
     }
 
     /// Turns the power switch off (optionally with super cutoff) and lets
@@ -442,22 +242,11 @@ impl CellBench {
         super_cutoff: bool,
         settle: f64,
     ) -> Result<PhaseResult, CircuitError> {
-        let c = self.design.conditions;
-        let vg = if super_cutoff {
-            c.v_pg_super
-        } else {
-            c.v_pg_off
-        };
-        self.phase(
-            "shutdown",
-            settle,
-            &[(sources::VPG, self.ramp_from(sources::VPG, 0.0, vg))],
-        )
+        self.engine.power_off(&[0], super_cutoff, settle)
     }
 
-    /// The restore operation: SR on first, then the power switch turns
-    /// back on and the bistable resolves from the MTJ imbalance; finally
-    /// SR returns to zero and CTRL to its normal bias.
+    /// Restores the data from the MTJs: SR on, staged power-switch
+    /// turn-on, SR off, CTRL back to its normal bias.
     ///
     /// # Errors
     ///
@@ -467,50 +256,13 @@ impl CellBench {
     ///
     /// Panics if called on a volatile 6T cell.
     pub fn restore(&mut self) -> Result<PhaseResult, CircuitError> {
-        assert!(
-            matches!(self.kind, CellKind::NvSram),
-            "restore requires an NV-SRAM cell"
-        );
-        let c = self.design.conditions;
-        let dur = c.restore_duration;
-        let e = c.edge_time;
-        // SR rises immediately. The switch gate then falls SLOWLY (a
-        // staged turn-on, as real power gating uses to limit rush
-        // current): the virtual rail sweeps through the regenerative
-        // region over nanoseconds, giving the MTJ-imbalance race time to
-        // resolve before the bistable latches. SR drops at 70 % of the
-        // phase; the tail lets the latched state harden.
-        let sr = Waveform::Pwl(vec![
-            (0.0, self.level_of(sources::VSR)),
-            (e, c.v_sr),
-            (0.7 * dur, c.v_sr),
-            (0.7 * dur + e, 0.0),
-        ]);
-        let pg = Waveform::Pwl(vec![
-            (0.0, self.level_of(sources::VPG)),
-            (0.05 * dur, self.level_of(sources::VPG)),
-            (0.45 * dur, 0.0),
-        ]);
-        let ctrl = Waveform::Pwl(vec![
-            (0.0, self.level_of(sources::VCTRL)),
-            (0.7 * dur, self.level_of(sources::VCTRL)),
-            (0.7 * dur + e, c.v_ctrl_normal),
-        ]);
-        self.phase(
-            "restore",
-            dur,
-            &[
-                (sources::VSR, sr),
-                (sources::VPG, pg),
-                (sources::VCTRL, ctrl),
-            ],
-        )
+        self.engine.restore(&[0])
     }
 
     /// Re-settles a DC operating point in the given mode and returns the
     /// total static power drawn from all sources.
     ///
-    /// The bench's state and levels are updated to the new mode.
+    /// The bench's state and source levels are updated to the new mode.
     ///
     /// # Errors
     ///
@@ -534,48 +286,28 @@ impl CellBench {
                 0.0,
             ),
         };
-        self.ckt.set_source(sources::VDD, vdd)?;
-        self.ckt.set_source(sources::VPG, vpg)?;
-        self.ckt.set_source(sources::VBL, vbl)?;
-        self.ckt.set_source(sources::VBLB, vbl)?;
-        self.store_level(sources::VDD, vdd);
-        self.store_level(sources::VPG, vpg);
-        self.store_level(sources::VBL, vbl);
-        self.store_level(sources::VBLB, vbl);
-        if matches!(self.kind, CellKind::NvSram) {
-            self.ckt.set_source(sources::VCTRL, vctrl)?;
-            self.store_level(sources::VCTRL, vctrl);
+        let mut levels = vec![
+            (sources::VDD, vdd),
+            (sources::VPG, vpg),
+            (sources::VBL, vbl),
+            (sources::VBLB, vbl),
+        ];
+        if self.nodes.nv.is_some() {
+            levels.push((sources::VCTRL, vctrl));
         }
-        // Warm-start from the present state.
-        let x0 = self.state.as_slice().to_vec();
-        let op = nvpg_circuit::dc::operating_point_from(&mut self.ckt, &DcOptions::default(), &x0)?;
-        let mut p = 0.0;
-        for (src, v) in [
-            (sources::VDD, self.levels.vdd),
-            (sources::VPG, self.levels.vpg),
-            (sources::VWL, self.levels.vwl),
-            (sources::VBL, self.levels.vbl),
-            (sources::VBLB, self.levels.vblb),
-            (sources::VSR, self.levels.vsr),
-            (sources::VCTRL, self.levels.vctrl),
-        ] {
-            if let Some(pw) = op.source_power(src, v) {
-                p += pw;
-            }
-        }
-        self.state = op;
-        Ok(p)
+        self.engine.settle(&levels)?;
+        Ok(self.engine.static_power())
     }
 
     /// Direct access to the underlying circuit (e.g. to reprogram a
     /// source for a custom experiment).
     pub fn circuit_mut(&mut self) -> &mut Circuit {
-        &mut self.ckt
+        self.engine.circuit_mut()
     }
 
     /// The current DC/transient-final state.
     pub fn state(&self) -> &DcSolution {
-        &self.state
+        self.engine.state()
     }
 }
 

@@ -16,6 +16,7 @@
 //! Data/state convention: `Q = H` stored ⇒ Q-side MTJ antiparallel,
 //! QB-side MTJ parallel.
 
+use nvpg_circuit::dc::DcOptions;
 use nvpg_circuit::{Circuit, CircuitError, NodeId};
 use nvpg_devices::finfet::FinFet;
 use nvpg_devices::mtj::MtjState;
@@ -78,6 +79,21 @@ pub struct CellNodes {
     pub pg: NodeId,
     /// NV-only nodes (`None` for the 6T cell).
     pub nv: Option<NvNodes>,
+}
+
+impl CellNodes {
+    /// DC options that seed the normal-mode operating point holding
+    /// `Q = data_q`: the storage nodes split across the `vdd` rail, the
+    /// virtual rail and both bitlines at `vdd`.
+    pub fn hold_options(&self, vdd: f64, data_q: bool) -> DcOptions {
+        let (vq, vqb) = if data_q { (vdd, 0.0) } else { (0.0, vdd) };
+        DcOptions::default()
+            .with_nodeset(self.q, vq)
+            .with_nodeset(self.qb, vqb)
+            .with_nodeset(self.vvdd, vdd)
+            .with_nodeset(self.bl, vdd)
+            .with_nodeset(self.blb, vdd)
+    }
 }
 
 /// NV-SRAM-specific nodes.
@@ -225,17 +241,7 @@ pub fn build_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvpg_circuit::dc::{operating_point, DcOptions};
-
-    fn hold_opts(n: &CellNodes, vdd: f64, data_q: bool) -> DcOptions {
-        let (vq, vqb) = if data_q { (vdd, 0.0) } else { (0.0, vdd) };
-        DcOptions::default()
-            .with_nodeset(n.q, vq)
-            .with_nodeset(n.qb, vqb)
-            .with_nodeset(n.vvdd, vdd)
-            .with_nodeset(n.bl, vdd)
-            .with_nodeset(n.blb, vdd)
-    }
+    use nvpg_circuit::dc::operating_point;
 
     #[test]
     fn sixt_cell_holds_both_states() {
@@ -244,7 +250,7 @@ mod tests {
             let d = CellDesign::table1();
             let n =
                 build_cell(&mut ckt, &d, CellKind::Volatile6T, MtjConfig::stored(true)).unwrap();
-            let op = operating_point(&mut ckt, &hold_opts(&n, 0.9, data)).unwrap();
+            let op = operating_point(&mut ckt, &n.hold_options(0.9, data)).unwrap();
             let (q, qb) = (op.voltage(n.q), op.voltage(n.qb));
             if data {
                 assert!(q > 0.8 && qb < 0.1, "data=1: q={q}, qb={qb}");
@@ -261,7 +267,7 @@ mod tests {
         let mut ckt = Circuit::new();
         let d = CellDesign::table1();
         let n = build_cell(&mut ckt, &d, CellKind::NvSram, MtjConfig::stored(true)).unwrap();
-        let op = operating_point(&mut ckt, &hold_opts(&n, 0.9, true)).unwrap();
+        let op = operating_point(&mut ckt, &n.hold_options(0.9, true)).unwrap();
         assert!(op.voltage(n.q) > 0.8, "q = {}", op.voltage(n.q));
         assert!(op.voltage(n.qb) < 0.1);
         // With SR = 0 the MTJ currents are leakage-level (≪ I_C).
@@ -275,12 +281,12 @@ mod tests {
         let d = CellDesign::table1();
         let mut c6 = Circuit::new();
         let n6 = build_cell(&mut c6, &d, CellKind::Volatile6T, MtjConfig::stored(true)).unwrap();
-        let op6 = operating_point(&mut c6, &hold_opts(&n6, 0.9, true)).unwrap();
+        let op6 = operating_point(&mut c6, &n6.hold_options(0.9, true)).unwrap();
         let i6 = -op6.source_current(sources::VDD).unwrap();
 
         let mut cn = Circuit::new();
         let nn = build_cell(&mut cn, &d, CellKind::NvSram, MtjConfig::stored(true)).unwrap();
-        let opn = operating_point(&mut cn, &hold_opts(&nn, 0.9, true)).unwrap();
+        let opn = operating_point(&mut cn, &nn.hold_options(0.9, true)).unwrap();
         let inv = -opn.source_current(sources::VDD).unwrap();
 
         assert!(i6 > 0.0 && inv > 0.0);
@@ -294,7 +300,7 @@ mod tests {
         let d = CellDesign::table1();
         let n = build_cell(&mut ckt, &d, CellKind::NvSram, MtjConfig::stored(true)).unwrap();
         ckt.set_source(sources::VPG, 0.9).unwrap(); // gate high: pFET off
-        let op = operating_point(&mut ckt, &hold_opts(&n, 0.0, true)).unwrap();
+        let op = operating_point(&mut ckt, &n.hold_options(0.0, true)).unwrap();
         assert!(
             op.voltage(n.vvdd) < 0.25,
             "vvdd = {} with switch off",

@@ -13,7 +13,7 @@
 //!   (per-mode static powers, per-op energies, store/restore energy and
 //!   durations).
 
-use nvpg_circuit::dc::{operating_point, DcOptions};
+use nvpg_circuit::dc::operating_point;
 use nvpg_circuit::{Circuit, CircuitError};
 use nvpg_devices::mtj::MtjState;
 
@@ -34,22 +34,6 @@ pub struct LeakagePoint {
     pub p_total_nv: f64,
 }
 
-fn normal_mode_op(
-    ckt: &mut Circuit,
-    nodes: &crate::cell::CellNodes,
-    vdd: f64,
-    data_q: bool,
-) -> Result<nvpg_circuit::DcSolution, CircuitError> {
-    let (vq, vqb) = if data_q { (vdd, 0.0) } else { (0.0, vdd) };
-    let opts = DcOptions::default()
-        .with_nodeset(nodes.q, vq)
-        .with_nodeset(nodes.qb, vqb)
-        .with_nodeset(nodes.vvdd, vdd)
-        .with_nodeset(nodes.bl, vdd)
-        .with_nodeset(nodes.blb, vdd);
-    operating_point(ckt, &opts)
-}
-
 /// Sweeps the CTRL bias in the normal SRAM mode and reports the supply
 /// leakage of the NV cell against the 6T baseline (Fig. 3(a)).
 ///
@@ -68,7 +52,7 @@ pub fn leakage_vs_vctrl(
         CellKind::Volatile6T,
         MtjConfig::stored(true),
     )?;
-    let op6 = normal_mode_op(&mut c6, &n6, design.conditions.vdd, true)?;
+    let op6 = operating_point(&mut c6, &n6.hold_options(design.conditions.vdd, true))?;
     let i_6t = -op6.source_current(sources::VDD).expect("vdd exists");
 
     // Each sweep point solves an independent DC problem from the same
@@ -79,7 +63,7 @@ pub fn leakage_vs_vctrl(
         let mut ckt = Circuit::new();
         let nodes = build_cell(&mut ckt, design, CellKind::NvSram, MtjConfig::stored(true))?;
         ckt.set_source(sources::VCTRL, v)?;
-        let op = normal_mode_op(&mut ckt, &nodes, design.conditions.vdd, true)?;
+        let op = operating_point(&mut ckt, &nodes.hold_options(design.conditions.vdd, true))?;
         let i_nv = -op.source_current(sources::VDD).expect("vdd exists");
         let p_vdd = i_nv * design.conditions.vdd;
         let p_ctrl = op.source_power(sources::VCTRL, v).expect("vctrl exists");
@@ -124,7 +108,7 @@ pub fn store_current_vs_vsr(
         let nodes = build_cell(&mut ckt, design, CellKind::NvSram, mtjs)?;
         ckt.set_source(sources::VCTRL, 0.0)?;
         ckt.set_source(sources::VSR, v)?;
-        let op = normal_mode_op(&mut ckt, &nodes, design.conditions.vdd, true)?;
+        let op = operating_point(&mut ckt, &nodes.hold_options(design.conditions.vdd, true))?;
         // Positive ammeter current = cell → CTRL (the H-store direction).
         let i = op.source_current(sources::IAM_L).expect("ammeter exists");
         Ok(StoreCurrentPoint {
@@ -157,7 +141,7 @@ pub fn store_current_vs_vctrl(
         let nodes = build_cell(&mut ckt, design, CellKind::NvSram, mtjs)?;
         ckt.set_source(sources::VSR, design.conditions.v_sr)?;
         ckt.set_source(sources::VCTRL, v)?;
-        let op = normal_mode_op(&mut ckt, &nodes, design.conditions.vdd, true)?;
+        let op = operating_point(&mut ckt, &nodes.hold_options(design.conditions.vdd, true))?;
         // L-store current flows CTRL → cell: negative on the ammeter.
         let i = -op.source_current(sources::IAM_R).expect("ammeter exists");
         Ok(StoreCurrentPoint {
@@ -197,12 +181,12 @@ pub fn vvdd_vs_nfsw(
         };
         let mut ckt = Circuit::new();
         let nodes = build_cell(&mut ckt, &d, CellKind::NvSram, mtjs)?;
-        let op = normal_mode_op(&mut ckt, &nodes, d.conditions.vdd, true)?;
+        let op = operating_point(&mut ckt, &nodes.hold_options(d.conditions.vdd, true))?;
         let vvdd_normal = op.voltage(nodes.vvdd);
         // H-store configuration loads the rail with the MTJ write current.
         ckt.set_source(sources::VSR, d.conditions.v_sr)?;
         ckt.set_source(sources::VCTRL, 0.0)?;
-        let op = normal_mode_op(&mut ckt, &nodes, d.conditions.vdd, true)?;
+        let op = operating_point(&mut ckt, &nodes.hold_options(d.conditions.vdd, true))?;
         let vvdd_store = op.voltage(nodes.vvdd);
         Ok(VvddPoint {
             n_fsw,
@@ -551,13 +535,7 @@ pub fn sensed_read(design: &CellDesign, kind: CellKind) -> Result<SensedRead, Ci
         1e12,
     )?;
 
-    let opts = nvpg_circuit::dc::DcOptions::default()
-        .with_nodeset(nodes.q, c.vdd)
-        .with_nodeset(nodes.qb, 0.0)
-        .with_nodeset(nodes.vvdd, c.vdd)
-        .with_nodeset(nodes.bl, c.vdd)
-        .with_nodeset(nodes.blb, c.vdd);
-    let op = operating_point(&mut ckt, &opts)?;
+    let op = operating_point(&mut ckt, &nodes.hold_options(c.vdd, true))?;
 
     // Sequence: release precharge at 0.5 ns, wordline pulse 0.7–2.2 ns.
     let e = c.edge_time;

@@ -7,11 +7,11 @@
 //! virtual-V_DD rail fed through one header switch sized `N_FSW × cells`,
 //! with the wordline, SR and CTRL lines broadcast across the domain and
 //! lumped per-column bitlines, each behind one driver resistance and
-//! carrying its full `C_BL × rows` loading. Cells, header, phase runner
-//! and recipes are the [`crate::array`] engine's; this module adds only
-//! the netlist and the bitline discharge/precharge around power-off and
-//! restore, so store, shutdown and restore act on the *whole domain at
-//! once*.
+//! carrying its full `C_BL × rows` loading. Cells and header are the
+//! [`crate::array`] layer's, phase runner and recipes the
+//! [`crate::engine`]'s; this module adds only the netlist and the bitline
+//! discharge/precharge around power-off and restore, so store, shutdown
+//! and restore act on the *whole domain at once*.
 //!
 //! A 64×64 NV domain is ~16 500 MNA unknowns — far beyond dense LU. The
 //! analyses here inherit the [`SolverChoice`] passed at construction
@@ -53,12 +53,11 @@ impl DomainKind {
 
 /// An `R × C` power domain behind a single shared power switch.
 ///
-/// The domain is one gating group of the [`crate::array`] engine, so
-/// every [`CellArray`] probe, phase and recipe is available through
-/// `Deref`; the whole-domain [`store`](Self::store),
-/// [`shutdown`](Self::shutdown) and [`restore`](Self::restore) add the
-/// lumped bitlines' discharge and precharge around the engine's
-/// power-off and restore.
+/// The domain is one gating group of a [`CellArray`], so every array
+/// probe, phase and recipe is available through `Deref`; the
+/// whole-domain [`store`](Self::store), [`shutdown`](Self::shutdown) and
+/// [`restore`](Self::restore) add the lumped bitlines' discharge and
+/// precharge around the phase engine's power-off and restore.
 #[derive(Debug)]
 pub struct DomainArray(CellArray);
 
@@ -196,9 +195,8 @@ impl DomainArray {
         Ok(a)
     }
 
-    /// Two-step store of the **whole domain at once**: SR up with CTRL
-    /// low (H-store), then CTRL at its store level (L-store), then both
-    /// lines back to their normal-mode bias.
+    /// Two-step store of the **whole domain at once**
+    /// ([`CellArray::store`]).
     ///
     /// # Errors
     ///
@@ -226,13 +224,13 @@ impl DomainArray {
     pub fn shutdown(&mut self, super_cutoff: bool) -> Result<ArrayPhase, CircuitError> {
         let mut total = self.0.shutdown(&[0], super_cutoff)?;
         let discharge = [self.ramp("vbl", 0.0), self.ramp("vblb", 0.0)];
-        total += self.phase(2e-9, &discharge)?;
+        total += self.phase("discharge", 2e-9, &discharge)?;
         Ok(total)
     }
 
-    /// Whole-domain restore: bitlines precharge, then SR on, slow
-    /// power-switch turn-on, SR off, CTRL back to normal — every cell
-    /// recovers its data from the MTJ resistance imbalance simultaneously.
+    /// Whole-domain restore: bitlines precharge, then every cell recovers
+    /// its data from the MTJ resistance imbalance at once
+    /// ([`CellArray::restore`]).
     ///
     /// # Errors
     ///
@@ -243,9 +241,9 @@ impl DomainArray {
     /// Panics on an OSR domain.
     pub fn restore(&mut self) -> Result<ArrayPhase, CircuitError> {
         self.assert_nv("restore");
-        let vdd = self.design().conditions.vdd;
+        let vdd = self.conditions().vdd;
         let precharge = [self.ramp("vbl", vdd), self.ramp("vblb", vdd)];
-        let mut total = self.phase(2e-9, &precharge)?;
+        let mut total = self.phase("precharge", 2e-9, &precharge)?;
         total += self.0.restore(&[0])?;
         Ok(total)
     }

@@ -9,11 +9,13 @@
 //!
 //! * [`design`] — the Table I design point (`CellDesign::table1()`);
 //! * [`cell`] — netlist builders;
-//! * [`mod@bench`] — phase-sequenced cell operation (read, write, sleep,
-//!   two-step store, shutdown, restore) with per-phase energy accounting;
-//! * [`mod@array`] — the array engine (cell and header stamps, phase runner,
-//!   gating-group store/power-off/restore recipes) and [`domain`], the
-//!   whole-domain array built on it;
+//! * [`engine`] — the one phase engine (runner with per-phase energy
+//!   accounting, step policies, gating-group store, power-off, restore,
+//!   sleep/wake and hold recipes) that the three below run on;
+//! * [`mod@bench`] — the single cell: read, write, per-mode static power;
+//! * [`nvff`] — the NV flip-flop: clocking;
+//! * [`mod@array`] — cell and header stamps for arrays, and [`domain`],
+//!   the whole-domain array built on them;
 //! * [`mod@characterize`] — figure-level extraction (leakage vs `V_CTRL`,
 //!   store currents, `VV_DD` vs `N_FSW`, static power per mode, and the
 //!   full [`characterize::CellCharacterization`]);
@@ -41,16 +43,18 @@ pub mod cell;
 pub mod characterize;
 pub mod design;
 pub mod domain;
+pub mod engine;
 pub mod nvff;
 pub mod snm;
 pub mod timing;
 
 pub use array::{ArrayBuilder, ArrayPhase, CellArray};
-pub use bench::{CellBench, Mode, PhaseResult};
+pub use bench::{CellBench, Mode};
 pub use cell::{build_cell, CellKind, CellNodes, MtjConfig, NvNodes};
 pub use characterize::{characterize, CellCharacterization, StaticPowerTable};
 pub use design::{CellDesign, OperatingConditions, RetentionKind};
 pub use domain::{DomainArray, DomainKind};
-pub use nvff::{FlopPhase, NvFlipFlop};
+pub use engine::{PhaseResult, StepPolicy};
+pub use nvff::NvFlipFlop;
 pub use snm::{static_noise_margin, SnmCondition};
 pub use timing::{timing, TimingReport};

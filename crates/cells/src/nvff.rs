@@ -17,36 +17,25 @@
 //! * a header power switch for shutdown.
 //!
 //! The store/restore flow and Table I biases are shared with the SRAM
-//! cell via [`CellDesign`].
+//! cell: the flip-flop runs on the [`crate::engine`] phase engine, whose
+//! recipes it reuses, and adds only its clocking.
 
 use nvpg_circuit::dc::{operating_point, DcOptions};
-use nvpg_circuit::transient::{transient, TransientOptions};
-use nvpg_circuit::{Circuit, CircuitError, DcSolution, NodeId, Waveform};
+use nvpg_circuit::{Circuit, CircuitError, NodeId, Waveform};
 use nvpg_devices::finfet::{FinFet, FinFetParams};
 use nvpg_devices::mtj::{Mtj, MtjState};
-use nvpg_units::{Joules, Seconds};
 
+use crate::array::ArrayPhase;
 use crate::design::CellDesign;
-
-/// Result of one flip-flop operation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlopPhase {
-    /// Energy delivered by all sources during the operation.
-    pub energy: Joules,
-    /// Operation duration.
-    pub duration: Seconds,
-}
+use crate::engine::{GatingGroup, PhaseEngine, StepPolicy};
 
 /// A nonvolatile D flip-flop bench.
 #[derive(Debug)]
 pub struct NvFlipFlop {
-    ckt: Circuit,
+    engine: PhaseEngine,
     design: CellDesign,
     s: NodeId,
     sb: NodeId,
-    state: DcSolution,
-    /// Current DC levels: (vd, vck, vckb, vsr, vctrl, vpg).
-    levels: [f64; 6],
 }
 
 const SOURCES: [&str; 7] = ["vdd", "vd", "vck", "vckb", "vsr", "vctrl", "vpg"];
@@ -193,96 +182,48 @@ impl NvFlipFlop {
             .with_nodeset(s, vs)
             .with_nodeset(sb, vsb);
         let state = operating_point(&mut ckt, &opts)?;
-        Ok(NvFlipFlop {
+        let group = GatingGroup {
+            suffix: String::new(),
+            lines: Some((sr, ctrl)),
+        };
+        let engine = PhaseEngine::new(
             ckt,
+            state,
+            c,
+            StepPolicy::Cell,
+            SOURCES.map(String::from).to_vec(),
+            vec![group],
+        );
+        Ok(NvFlipFlop {
+            engine,
             design,
             s,
             sb,
-            state,
-            levels: [d0, 0.0, c.vdd, 0.0, c.v_ctrl_normal, 0.0],
         })
     }
 
     /// The flip-flop output `Q` in the current state.
     pub fn q(&self) -> bool {
-        self.state.voltage(self.sb) > self.state.voltage(self.s)
+        let state = self.engine.state();
+        state.voltage(self.sb) > state.voltage(self.s)
     }
 
     /// Current MTJ states `(s side, sb side)`.
     pub fn mtj_states(&self) -> Option<(MtjState, MtjState)> {
-        let decode = |name: &str| -> Option<MtjState> {
-            let st = self.ckt.device_state(name)?;
-            let v = st.iter().find(|(l, _)| l == "state")?.1;
-            Some(if v > 0.5 {
-                MtjState::AntiParallel
-            } else {
-                MtjState::Parallel
-            })
-        };
-        Some((decode("xl")?, decode("xr")?))
+        Some((
+            self.engine.retention_state("xl")?,
+            self.engine.retention_state("xr")?,
+        ))
     }
 
-    fn level(&self, name: &str) -> f64 {
-        match name {
-            "vd" => self.levels[0],
-            "vck" => self.levels[1],
-            "vckb" => self.levels[2],
-            "vsr" => self.levels[3],
-            "vctrl" => self.levels[4],
-            "vpg" => self.levels[5],
-            _ => 0.0,
-        }
-    }
-
-    fn set_level(&mut self, name: &str, v: f64) {
-        match name {
-            "vd" => self.levels[0] = v,
-            "vck" => self.levels[1] = v,
-            "vckb" => self.levels[2] = v,
-            "vsr" => self.levels[3] = v,
-            "vctrl" => self.levels[4] = v,
-            "vpg" => self.levels[5] = v,
-            _ => {}
-        }
-    }
-
+    /// Runs one clocking phase (span label `clock`) with the given
+    /// waveform overrides.
     fn phase(
         &mut self,
         duration: f64,
         waves: &[(&str, Waveform)],
-    ) -> Result<FlopPhase, CircuitError> {
-        for (src, wave) in waves {
-            self.ckt.set_source(src, wave.clone())?;
-        }
-        let opts = TransientOptions {
-            t_stop: duration,
-            dt_max: (duration / 400.0).clamp(1e-12, 100e-12),
-            dt_init: 1e-12,
-            ..TransientOptions::default()
-        };
-        let result = transient(&mut self.ckt, &opts, &self.state)?;
-        self.state = result.final_state;
-        for (src, wave) in waves {
-            let end = wave.value(duration);
-            self.ckt.set_source(src, end)?;
-            self.set_level(src, end);
-        }
-        let mut energy = 0.0;
-        for src in SOURCES {
-            if let Ok(v) = result.trace.integral(&format!("p({src})")) {
-                energy += v;
-            }
-        }
-        Ok(FlopPhase {
-            energy: Joules(energy),
-            duration: Seconds(duration),
-        })
-    }
-
-    fn ramp(&self, src: &str, t0: f64, to: f64) -> Waveform {
-        let e = self.design.conditions.edge_time;
-        let from = self.level(src);
-        Waveform::Pwl(vec![(0.0, from), (t0, from), (t0 + e, to)])
+    ) -> Result<ArrayPhase, CircuitError> {
+        Ok(self.engine.run("clock", duration, waves)?.into())
     }
 
     /// Applies `d` and issues one rising clock edge (positive-edge
@@ -291,31 +232,28 @@ impl NvFlipFlop {
     /// # Errors
     ///
     /// Propagates transient non-convergence.
-    pub fn clock_in(&mut self, d: bool) -> Result<FlopPhase, CircuitError> {
+    pub fn clock_in(&mut self, d: bool) -> Result<ArrayPhase, CircuitError> {
         let c = self.design.conditions;
+        let e = c.edge_time;
         let dv = if d { c.vdd } else { 0.0 };
         // Phase 1: settle D with CK low (master samples).
-        let p1 = self.phase(1e-9, &[("vd", self.ramp("vd", 0.1e-9, dv))])?;
-        // Phase 2: CK rising edge (slave captures), hold, falling edge.
-        let ck = Waveform::Pwl(vec![
-            (0.0, 0.0),
-            (0.1e-9, 0.0),
-            (0.1e-9 + c.edge_time, c.vdd),
-            (1.4e-9, c.vdd),
-            (1.4e-9 + c.edge_time, 0.0),
-        ]);
-        let ckb = Waveform::Pwl(vec![
-            (0.0, c.vdd),
-            (0.1e-9, c.vdd),
-            (0.1e-9 + c.edge_time, 0.0),
-            (1.4e-9, 0.0),
-            (1.4e-9 + c.edge_time, c.vdd),
-        ]);
-        let p2 = self.phase(2e-9, &[("vck", ck), ("vckb", ckb)])?;
-        Ok(FlopPhase {
-            energy: p1.energy + p2.energy,
-            duration: p1.duration + p2.duration,
-        })
+        let d0 = self.engine.level("vd");
+        let dw = Waveform::Pwl(vec![(0.0, d0), (0.1e-9, d0), (0.1e-9 + e, dv)]);
+        let mut total = self.phase(1e-9, &[("vd", dw)])?;
+        // Phase 2: CK rising edge (slave captures), hold, falling edge;
+        // CKB mirrors it.
+        let clock = |rest: f64, active: f64| {
+            Waveform::Pwl(vec![
+                (0.0, rest),
+                (0.1e-9, rest),
+                (0.1e-9 + e, active),
+                (1.4e-9, active),
+                (1.4e-9 + e, rest),
+            ])
+        };
+        let waves = [("vck", clock(0.0, c.vdd)), ("vckb", clock(c.vdd, 0.0))];
+        total += self.phase(2e-9, &waves)?;
+        Ok(total)
     }
 
     /// Two-step store of `Q` into the MTJs (clock held low: the slave is
@@ -324,43 +262,20 @@ impl NvFlipFlop {
     /// # Errors
     ///
     /// Propagates transient non-convergence.
-    pub fn store(&mut self) -> Result<FlopPhase, CircuitError> {
-        let c = self.design.conditions;
-        let t = c.store_duration;
-        let p1 = self.phase(
-            t,
-            &[
-                ("vsr", self.ramp("vsr", 0.0, c.v_sr)),
-                ("vctrl", self.ramp("vctrl", 0.0, 0.0)),
-            ],
-        )?;
-        let p2 = self.phase(t, &[("vctrl", self.ramp("vctrl", 0.0, c.v_ctrl_store))])?;
-        let p3 = self.phase(
-            1e-9,
-            &[
-                ("vsr", self.ramp("vsr", 0.0, 0.0)),
-                ("vctrl", self.ramp("vctrl", 0.0, 0.0)),
-            ],
-        )?;
-        Ok(FlopPhase {
-            energy: p1.energy + p2.energy + p3.energy,
-            duration: p1.duration + p2.duration + p3.duration,
-        })
+    pub fn store(&mut self) -> Result<ArrayPhase, CircuitError> {
+        self.engine.store(&[0])
     }
 
-    /// Powers the flip-flop off (super cutoff) and lets the rail collapse.
+    /// Powers the flip-flop off (super cutoff) and holds it dark for
+    /// `hold` seconds.
     ///
     /// # Errors
     ///
     /// Propagates transient non-convergence.
-    pub fn shutdown(&mut self, hold: f64) -> Result<FlopPhase, CircuitError> {
-        let c = self.design.conditions;
-        let p1 = self.phase(2e-9, &[("vpg", self.ramp("vpg", 0.0, c.v_pg_super))])?;
-        let p2 = self.phase(hold, &[])?;
-        Ok(FlopPhase {
-            energy: p1.energy + p2.energy,
-            duration: p1.duration + p2.duration,
-        })
+    pub fn shutdown(&mut self, hold: f64) -> Result<ArrayPhase, CircuitError> {
+        let mut total = ArrayPhase::from(self.engine.power_off(&[0], true, 2e-9)?);
+        total += self.engine.hold(hold)?.into();
+        Ok(total)
     }
 
     /// Restore: SR on, staged power-switch turn-on, SR off — the slave
@@ -370,27 +285,8 @@ impl NvFlipFlop {
     /// # Errors
     ///
     /// Propagates transient non-convergence.
-    pub fn restore(&mut self) -> Result<FlopPhase, CircuitError> {
-        let c = self.design.conditions;
-        let dur = c.restore_duration;
-        let e = c.edge_time;
-        let sr = Waveform::Pwl(vec![
-            (0.0, self.level("vsr")),
-            (e, c.v_sr),
-            (0.7 * dur, c.v_sr),
-            (0.7 * dur + e, 0.0),
-        ]);
-        let pg = Waveform::Pwl(vec![
-            (0.0, self.level("vpg")),
-            (0.05 * dur, self.level("vpg")),
-            (0.45 * dur, 0.0),
-        ]);
-        let ctrl = Waveform::Pwl(vec![
-            (0.0, self.level("vctrl")),
-            (0.7 * dur, self.level("vctrl")),
-            (0.7 * dur + e, c.v_ctrl_normal),
-        ]);
-        self.phase(dur, &[("vsr", sr), ("vpg", pg), ("vctrl", ctrl)])
+    pub fn restore(&mut self) -> Result<ArrayPhase, CircuitError> {
+        Ok(self.engine.restore(&[0])?.into())
     }
 }
 

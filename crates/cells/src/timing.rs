@@ -16,6 +16,7 @@ use nvpg_circuit::CircuitError;
 use crate::bench::CellBench;
 use crate::cell::{CellKind, MtjConfig};
 use crate::design::CellDesign;
+use crate::engine::PhaseResult;
 
 /// Measured cell delays (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,6 +33,20 @@ pub struct TimingReport {
 
 /// Sense-amplifier current threshold used for the read-development time.
 const SENSE_CURRENT: f64 = 10e-6;
+
+/// A recorded signal of `phase`.
+fn signal<'a>(phase: &'a PhaseResult, name: &str) -> &'a [f64] {
+    phase.trace.signal(name).expect("recorded")
+}
+
+/// Time of the first sample of `phase` at or after `t0` whose index
+/// satisfies `hit`.
+fn first_time(phase: &PhaseResult, t0: f64, hit: impl Fn(usize) -> bool) -> Option<f64> {
+    let time = phase.trace.time();
+    (0..time.len())
+        .find(|&k| time[k] >= t0 && hit(k))
+        .map(|k| time[k])
+}
 
 /// Measures the timing report for a cell kind at the given design point.
 ///
@@ -53,43 +68,19 @@ pub fn timing(design: &CellDesign, kind: CellKind) -> Result<TimingReport, Circu
     // Write time: start at Q = 1, write 0, watch the crossover.
     let mut bench = CellBench::new(*design, kind, true, MtjConfig::stored(true))?;
     let write = bench.write(false)?;
-    let t_flip = {
-        let q = write.trace.signal("v(q)").expect("recorded");
-        let qb = write.trace.signal("v(qb)").expect("recorded");
-        let time = write.trace.time();
-        let mut found = None;
-        for k in 1..time.len() {
-            if time[k] < wl_edge {
-                continue;
-            }
-            if qb[k] >= q[k] && qb[k - 1] < q[k - 1] {
-                found = Some(time[k]);
-                break;
-            }
-        }
-        found.ok_or_else(|| missing("write crossover"))?
-    };
+    let (q, qb) = (signal(&write, "v(q)"), signal(&write, "v(qb)"));
+    let t_flip = first_time(&write, wl_edge, |k| {
+        k > 0 && qb[k] >= q[k] && qb[k - 1] < q[k - 1]
+    })
+    .ok_or_else(|| missing("write crossover"))?;
     let t_write = t_flip - wl_edge;
 
     // Read development: fresh cell, Q = 1, read; watch |i(vbl) − i(vblb)|.
     let mut bench = CellBench::new(*design, kind, true, MtjConfig::stored(true))?;
     let read = bench.read()?;
-    let t_dev = {
-        let ibl = read.trace.signal("i(vbl)").expect("recorded");
-        let iblb = read.trace.signal("i(vblb)").expect("recorded");
-        let time = read.trace.time();
-        let mut found = None;
-        for k in 0..time.len() {
-            if time[k] < wl_edge {
-                continue;
-            }
-            if (ibl[k] - iblb[k]).abs() > SENSE_CURRENT {
-                found = Some(time[k]);
-                break;
-            }
-        }
-        found.ok_or_else(|| missing("read development"))?
-    };
+    let (ibl, iblb) = (signal(&read, "i(vbl)"), signal(&read, "i(vblb)"));
+    let t_dev = first_time(&read, wl_edge, |k| (ibl[k] - iblb[k]).abs() > SENSE_CURRENT)
+        .ok_or_else(|| missing("read development"))?;
     let t_read_develop = t_dev - wl_edge;
 
     // Restore time (NV only): full power cycle, watch node separation.
@@ -99,19 +90,12 @@ pub fn timing(design: &CellDesign, kind: CellKind) -> Result<TimingReport, Circu
         bench.shutdown_enter(true, 3e-9)?;
         bench.idle(400e-9)?;
         let restore = bench.restore()?;
-        let q = restore.trace.signal("v(q)").expect("recorded");
-        let qb = restore.trace.signal("v(qb)").expect("recorded");
-        let time = restore.trace.time();
+        let (q, qb) = (signal(&restore, "v(q)"), signal(&restore, "v(qb)"));
         let target = 0.8 * c.vdd;
         let t_on = 0.05 * c.restore_duration; // switch gate starts falling
-        let mut found = None;
-        for k in 0..time.len() {
-            if time[k] >= t_on && (q[k] - qb[k]).abs() > target {
-                found = Some(time[k] - t_on);
-                break;
-            }
-        }
-        Some(found.ok_or_else(|| missing("restore separation"))?)
+        let t_sep = first_time(&restore, t_on, |k| (q[k] - qb[k]).abs() > target)
+            .ok_or_else(|| missing("restore separation"))?;
+        Some(t_sep - t_on)
     } else {
         None
     };

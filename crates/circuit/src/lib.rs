@@ -74,7 +74,7 @@ pub use node::NodeId;
 pub use registry::{registry, DeckSpec};
 pub use rescue::RescueStats;
 pub use solution::DcSolution;
-pub use solver::{set_default_solver, SolverChoice, SPARSE_THRESHOLD};
+pub use solver::{SolverChoice, SPARSE_THRESHOLD};
 pub use steptel::StepStats;
 pub use trace::Trace;
 pub use transient::{TransientOptions, TransientResult};

@@ -3,17 +3,14 @@
 //!
 //! Every analysis option struct ([`crate::dc::DcOptions`],
 //! [`crate::transient::TransientOptions`]) carries a [`SolverChoice`];
-//! `Auto` (the default everywhere) defers to the process-wide default set by
-//! [`set_default_solver`] (the `figures --solver` flag), and when that is
-//! also `Auto`, to the node-count threshold [`SPARSE_THRESHOLD`]: systems
-//! with at least that many unknowns get the sparse backend, smaller ones
-//! stay dense. Both backends produce the same solutions (within solver
+//! `Auto` (the default everywhere) resolves from the unknown count alone:
+//! systems with at least [`SPARSE_THRESHOLD`] unknowns get the sparse
+//! backend, smaller ones stay dense. Both backends produce the same solutions (within solver
 //! tolerances) and support the full rescue ladder, modified-Newton reuse,
 //! and fault injection.
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use nvpg_numeric::newton::{NewtonOptions, NewtonSolver};
 
@@ -28,7 +25,7 @@ pub const SPARSE_THRESHOLD: usize = 256;
 /// Which linear-solver backend an analysis should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverChoice {
-    /// Defer to the process default, then to the node-count threshold.
+    /// Pick by the unknown count ([`SPARSE_THRESHOLD`]).
     #[default]
     Auto,
     /// Force the dense LU backend.
@@ -41,11 +38,7 @@ impl SolverChoice {
     /// Resolves the choice for a system of `unknowns` unknowns: `true`
     /// means the sparse backend.
     pub fn use_sparse(self, unknowns: usize) -> bool {
-        let effective = match self {
-            SolverChoice::Auto => default_solver(),
-            explicit => explicit,
-        };
-        match effective {
+        match self {
             SolverChoice::Dense => false,
             SolverChoice::Sparse => true,
             SolverChoice::Auto => unknowns >= SPARSE_THRESHOLD,
@@ -89,30 +82,6 @@ impl FromStr for SolverChoice {
             "sparse" => Ok(SolverChoice::Sparse),
             other => Err(ParseSolverChoiceError(other.to_owned())),
         }
-    }
-}
-
-static DEFAULT_SOLVER: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default consulted by `SolverChoice::Auto`. Intended
-/// to be called once at CLI startup (`figures --solver`); per-request
-/// overrides (the `/simulate` schema) should set the option field instead,
-/// because a process global is shared across concurrent requests.
-pub fn set_default_solver(choice: SolverChoice) {
-    let v = match choice {
-        SolverChoice::Auto => 0,
-        SolverChoice::Dense => 1,
-        SolverChoice::Sparse => 2,
-    };
-    DEFAULT_SOLVER.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default solver choice.
-pub fn default_solver() -> SolverChoice {
-    match DEFAULT_SOLVER.load(Ordering::Relaxed) {
-        1 => SolverChoice::Dense,
-        2 => SolverChoice::Sparse,
-        _ => SolverChoice::Auto,
     }
 }
 

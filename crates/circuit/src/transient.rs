@@ -46,9 +46,6 @@ pub struct TransientOptions {
     pub dt_init: f64,
     /// Newton settings for each implicit step.
     pub newton: NewtonOptions,
-    /// Record nonlinear-device internal state signals
-    /// (`<device>.<label>`).
-    pub record_device_state: bool,
     /// Implicit integration scheme for linear capacitors.
     pub method: IntegrationMethod,
     /// Hard cap on attempted steps (accepted + rejected): a runaway run
@@ -95,7 +92,6 @@ impl Default for TransientOptions {
                 reuse_jacobian: true,
                 ..NewtonOptions::default()
             },
-            record_device_state: false,
             method: IntegrationMethod::BackwardEuler,
             max_steps: 10_000_000,
             lte_control: true,
@@ -194,12 +190,10 @@ struct Recorder {
     nodes: Vec<NodeId>,
     /// `(name, pos, neg, branch_index)` per voltage source.
     vsources: Vec<(String, NodeId, NodeId, usize)>,
-    /// `(element_index, state_labels)` per recorded device.
-    devices: Vec<(usize, Vec<String>)>,
 }
 
 impl Recorder {
-    fn build(circuit: &Circuit, record_device_state: bool) -> (Self, Trace) {
+    fn build(circuit: &Circuit) -> (Self, Trace) {
         let nodes: Vec<NodeId> = circuit
             .nodes
             .iter()
@@ -208,41 +202,23 @@ impl Recorder {
             .collect();
         let branch_idx = circuit.branch_indices();
         let mut vsources = Vec::new();
-        let mut devices = Vec::new();
         let mut names: Vec<String> = nodes
             .iter()
             .map(|&id| format!("v({})", circuit.node_name(id)))
             .collect();
         for (eidx, e) in circuit.elements().enumerate() {
-            match e {
-                Element::VoltageSource { name, pos, neg, .. } => {
-                    let br = branch_idx[eidx].expect("vsource branch");
-                    names.push(format!("i({name})"));
-                    names.push(format!("p({name})"));
-                    vsources.push((name.clone(), *pos, *neg, br));
-                }
-                Element::Nonlinear(dev) if record_device_state => {
-                    let labels: Vec<String> = dev.state().iter().map(|(l, _)| l.clone()).collect();
-                    for l in &labels {
-                        names.push(format!("{}.{}", dev.name(), l));
-                    }
-                    devices.push((eidx, labels));
-                }
-                _ => {}
+            if let Element::VoltageSource { name, pos, neg, .. } = e {
+                let br = branch_idx[eidx].expect("vsource branch");
+                names.push(format!("i({name})"));
+                names.push(format!("p({name})"));
+                vsources.push((name.clone(), *pos, *neg, br));
             }
         }
         let trace = Trace::new(names);
-        (
-            Recorder {
-                nodes,
-                vsources,
-                devices,
-            },
-            trace,
-        )
+        (Recorder { nodes, vsources }, trace)
     }
 
-    fn sample(&self, circuit: &Circuit, x: &[f64], t: f64, trace: &mut Trace, row: &mut Vec<f64>) {
+    fn sample(&self, x: &[f64], t: f64, trace: &mut Trace, row: &mut Vec<f64>) {
         row.clear();
         for &n in &self.nodes {
             row.push(x[n.unknown_index().expect("non-ground")]);
@@ -254,19 +230,6 @@ impl Recorder {
             row.push(i);
             // Power delivered BY the source to the circuit.
             row.push(-v * i);
-        }
-        for (eidx, labels) in &self.devices {
-            if let Element::Nonlinear(dev) = &circuit.elements[*eidx] {
-                let state = dev.state();
-                for l in labels {
-                    let v = state
-                        .iter()
-                        .find(|(sl, _)| sl == l)
-                        .map(|&(_, v)| v)
-                        .unwrap_or(0.0);
-                    row.push(v);
-                }
-            }
         }
         trace.push(t, row);
     }
@@ -362,7 +325,7 @@ pub fn transient(
     opts.validate()?;
     let _span = nvpg_obs::span_labeled("solve", "transient");
     let bps = breakpoints(circuit, opts.t_stop)?;
-    let (recorder, mut trace) = Recorder::build(circuit, opts.record_device_state);
+    let (recorder, mut trace) = Recorder::build(circuit);
 
     let mut solver = crate::solver::build_newton(circuit, opts.newton, opts.solver);
     let mut sys = MnaSystem::new(circuit, MnaContext::dc());
@@ -379,7 +342,7 @@ pub fn transient(
     let mut row: Vec<f64> = Vec::with_capacity(trace.signal_names().len());
 
     let mut t = 0.0_f64;
-    recorder.sample(sys.circuit, &x, t, &mut trace, &mut row);
+    recorder.sample(&x, t, &mut trace, &mut row);
 
     let mut dt = opts.dt_init.min(opts.dt_max);
     let mut bp_iter = bps.iter().copied().peekable();
@@ -632,7 +595,7 @@ pub fn transient(
         std::mem::swap(&mut x, &mut x_try);
         sys.accept_step(&x, t_new, step);
         t = t_new;
-        recorder.sample(sys.circuit, &x, t, &mut trace, &mut row);
+        recorder.sample(&x, t, &mut trace, &mut row);
 
         if opts.lte_control && have_history {
             // Ideal next step for a first-order method: LTE ∝ dt², so

@@ -7,9 +7,9 @@
 //! both the source of the Fig. 6(a,b) traces and the ground truth that
 //! validates the composition on small cases.
 
-use nvpg_cells::bench::{CellBench, PhaseResult};
 use nvpg_cells::cell::{CellKind, MtjConfig};
 use nvpg_cells::design::CellDesign;
+use nvpg_cells::{CellBench, PhaseResult};
 use nvpg_circuit::{CircuitError, StepStats};
 use nvpg_units::{Joules, Seconds};
 

@@ -8,7 +8,9 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use nvpg_cells::array::checkerboard;
 use nvpg_cells::design::CellDesign;
+use nvpg_cells::domain::{DomainArray, DomainKind};
 use nvpg_core::variation::{run_variation_report, VariationSpec};
 use nvpg_core::{run_sequence, Architecture, BenchmarkParams, SequenceParams};
 
@@ -156,4 +158,42 @@ fn spans_nest_experiment_over_sequence_over_solve() {
         .find(|e| e.name == "solve" && e.label == "dc")
         .expect("bench setup emits a dc solve span");
     assert_eq!(dc.parent, sequence.id);
+}
+
+#[test]
+fn array_phases_are_traced_like_cell_phases() {
+    let _guard = lock();
+    nvpg_obs::reset_for_test();
+    nvpg_obs::enable();
+    {
+        let _root = nvpg_obs::span("experiment");
+        let design = CellDesign::table1();
+        let mut domain = DomainArray::new(design, DomainKind::Nvpg, 2, 2, checkerboard).unwrap();
+        domain.store().unwrap();
+        domain.shutdown(true).unwrap();
+        domain.restore().unwrap();
+    }
+    nvpg_obs::disable();
+    let events = nvpg_obs::drain_events();
+
+    let transients: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "solve" && e.label == "transient")
+        .collect();
+    assert!(!transients.is_empty(), "array phases emit solve spans");
+    for solve in &transients {
+        let parent = events
+            .iter()
+            .find(|e| e.id == solve.parent)
+            .expect("parent span recorded");
+        assert_eq!(parent.name, "phase", "a transient solve outside any phase");
+    }
+    let labels: Vec<&str> = events
+        .iter()
+        .filter(|e| e.name == "phase")
+        .map(|e| e.label.as_str())
+        .collect();
+    for label in ["store-H", "store-L", "store-end", "shutdown", "restore"] {
+        assert!(labels.contains(&label), "no `{label}` phase in {labels:?}");
+    }
 }

@@ -28,7 +28,7 @@
 
 pub mod queue;
 
-pub use queue::{BoundedQueue, FairQueue, PushError};
+pub use queue::{FairQueue, PushError};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

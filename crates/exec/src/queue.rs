@@ -1,21 +1,22 @@
-//! A bounded MPMC queue with non-blocking admission — the backpressure
-//! primitive for the serving layer.
+//! A keyed, bounded MPMC queue with non-blocking admission — the
+//! backpressure primitive for the serving layer.
 //!
 //! The experiment engine's `par_map` family works over a *known* input
 //! slice; a daemon instead receives work at an uncontrolled rate and must
-//! never buffer it unboundedly. [`BoundedQueue`] gives producers a
-//! non-blocking [`try_push`](BoundedQueue::try_push) (so an acceptor
-//! thread can turn "queue full" into an immediate `503` instead of
-//! stalling the socket) and consumers a blocking
-//! [`pop`](BoundedQueue::pop) that parks on a condvar until work or
-//! shutdown arrives. [`close`](BoundedQueue::close) begins a graceful
-//! drain: producers are refused, consumers finish whatever is already
-//! queued and then observe `None`.
+//! never buffer it unboundedly. [`FairQueue`] gives producers a
+//! non-blocking [`try_push`](FairQueue::try_push), capped per client key
+//! and in total (so an acceptor thread can turn "queue full" into an
+//! immediate `503` instead of stalling the socket), and consumers a
+//! blocking [`pop`](FairQueue::pop) that serves keys round-robin and
+//! parks on a condvar until work or shutdown arrives.
+//! [`close`](FairQueue::close) begins a graceful drain: producers are
+//! refused, consumers finish whatever is already queued and then observe
+//! `None`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-/// Why a [`BoundedQueue::try_push`] was refused. The rejected item is
+/// Why a [`FairQueue::try_push`] was refused. The rejected item is
 /// handed back so the caller can respond to it (e.g. write a `503`).
 #[derive(Debug)]
 pub enum PushError<T> {
@@ -34,115 +35,6 @@ impl<T> PushError<T> {
     }
 }
 
-struct State<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// Fixed-capacity multi-producer multi-consumer queue.
-///
-/// # Examples
-///
-/// ```
-/// use nvpg_exec::queue::{BoundedQueue, PushError};
-///
-/// let q = BoundedQueue::new(1);
-/// q.try_push(10).unwrap();
-/// assert!(matches!(q.try_push(11), Err(PushError::Full(11))));
-/// assert_eq!(q.pop(), Some(10));
-/// q.close();
-/// assert_eq!(q.pop(), None);
-/// ```
-pub struct BoundedQueue<T> {
-    state: Mutex<State<T>>,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero — a zero-capacity queue would refuse
-    /// every push, which is a configuration error, not load shedding.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "queue capacity must be at least 1");
-        BoundedQueue {
-            state: Mutex::new(State {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current queue depth (racy by nature; for metrics, not decisions).
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue state").items.len()
-    }
-
-    /// `true` when the queue holds no items right now.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `true` once [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue state").closed
-    }
-
-    /// Enqueues `item` without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`close`](Self::close); both return the item.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue state");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty and
-    /// open. Returns `None` only when the queue is closed *and* drained —
-    /// the worker-thread exit signal.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue state");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("queue state");
-        }
-    }
-
-    /// Closes the queue: subsequent pushes are refused, queued items stay
-    /// poppable, and every blocked consumer wakes (seeing the remaining
-    /// items, then `None`). Idempotent.
-    pub fn close(&self) {
-        self.state.lock().expect("queue state").closed = true;
-        self.not_empty.notify_all();
-    }
-}
-
 struct FairState<K, T> {
     /// Per-key subqueues; `BTreeMap` keeps key iteration deterministic.
     queues: BTreeMap<K, VecDeque<T>>,
@@ -152,7 +44,8 @@ struct FairState<K, T> {
     closed: bool,
 }
 
-/// A keyed fair-share variant of [`BoundedQueue`].
+/// A fixed-capacity multi-producer multi-consumer queue that shares its
+/// capacity fairly between client keys.
 ///
 /// Items are enqueued under a client key (e.g. the peer address); each key
 /// gets its own bounded subqueue and [`pop`](FairQueue::pop) serves keys
@@ -299,73 +192,15 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn refuses_when_full_and_hands_the_item_back() {
-        let q = BoundedQueue::new(2);
-        q.try_push("a").unwrap();
-        q.try_push("b").unwrap();
-        match q.try_push("c") {
-            Err(PushError::Full(item)) => assert_eq!(item, "c"),
-            other => panic!("expected Full, got {other:?}"),
-        }
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some("a"));
-        q.try_push("c").unwrap();
-        assert_eq!(q.pop(), Some("b"));
-        assert_eq!(q.pop(), Some("c"));
-    }
-
-    #[test]
-    fn close_drains_then_signals_exit() {
-        let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.close();
-        assert!(q.is_closed());
-        match q.try_push(3) {
-            Err(PushError::Closed(item)) => assert_eq!(item, 3),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None, "close is sticky");
-    }
-
-    #[test]
-    fn blocked_consumers_wake_on_push_and_on_close() {
-        let q = Arc::new(BoundedQueue::new(8));
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(v) = q.pop() {
-                        got.push(v);
-                    }
-                    got
-                })
-            })
-            .collect();
-        // Give consumers a moment to park, then feed and shut down.
-        std::thread::sleep(Duration::from_millis(10));
-        for v in 0..20 {
-            while let Err(PushError::Full(_)) = q.try_push(v) {
-                std::thread::yield_now();
-            }
-        }
-        q.close();
-        let mut all: Vec<i32> = consumers
-            .into_iter()
-            .flat_map(|h| h.join().expect("consumer"))
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
+    #[should_panic(expected = "per-key capacity")]
     fn zero_capacity_is_rejected() {
-        let _ = BoundedQueue::<i32>::new(0);
+        let _ = FairQueue::<&str, i32>::new(0, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "total capacity")]
+    fn zero_total_capacity_is_rejected() {
+        let _ = FairQueue::<&str, i32>::new(8, 0);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Macro netlist construction and phase sequencing.
 //!
 //! [`MacroBuilder::prepare`] emits the full macro netlist — cell array
-//! plus periphery — on the `nvpg-cells` array engine, and
+//! plus periphery — on the `nvpg-cells` array layer, and
 //! [`MacroBuilder::solve`] settles the normal-mode operating point,
-//! yielding an [`NvMacro`]. The engine supplies the cells, headers,
-//! probes and gating-group recipes (store, power-off, restore, sleep,
-//! wake) through `Deref`; the macro adds only its periphery,
-//! [`NvMacro::element_bias`] and [`NvMacro::access_read`].
+//! yielding an [`NvMacro`]. The array layer and its phase engine supply
+//! the cells, headers, probes and gating-group recipes (store,
+//! power-off, restore, sleep, wake) through `Deref`; the macro adds only
+//! its periphery, [`NvMacro::element_bias`] and [`NvMacro::access_read`].
 //!
 //! ## Netlist topology
 //!
-//! * **Cell array** — the engine's cell (6T core, PS-FinFETs, retention
+//! * **Cell array** — the array layer's cell (6T core, PS-FinFETs, retention
 //!   elements via the design's
 //!   [`RetentionKind`](nvpg_cells::design::RetentionKind)), each hung
 //!   from its gating group's virtual rail, its wordline tap and its
@@ -49,7 +49,8 @@ const R_BL_SEGMENT: f64 = 20.0;
 const WL_DRIVER_FINS: u32 = 2;
 
 /// A fully-built macro netlist whose operating point has not been solved
-/// yet (the engine's [`ArrayBuilder`] plus the spec it was built from).
+/// yet (the array layer's [`ArrayBuilder`] plus the spec it was built
+/// from).
 #[derive(Debug)]
 pub struct MacroBuilder {
     array: ArrayBuilder,
@@ -367,7 +368,7 @@ impl MacroBuilder {
         self.array.solve().map(|array| NvMacro { array, spec })
     }
 
-    /// Consumes the builder, returning the engine's prepared netlist —
+    /// Consumes the builder, returning the array layer's prepared netlist —
     /// for [`ArrayBuilder::solve_batch`], which settles many same-topology
     /// macros on one shared Newton workspace.
     pub fn into_array(self) -> ArrayBuilder {
@@ -488,13 +489,14 @@ impl NvMacro {
             (0.7 * t + e, 0.0),
         ]);
         self.phase(
+            "read",
             t,
             &[
-                ("vrowsel".to_owned(), sel),
-                ("vpre".to_owned(), pre),
-                ("vsae".to_owned(), sae),
-                ("vsaeb".to_owned(), saeb),
-                ("vrble".to_owned(), rble),
+                ("vrowsel", sel),
+                ("vpre", pre),
+                ("vsae", sae),
+                ("vsaeb", saeb),
+                ("vrble", rble),
             ],
         )
     }

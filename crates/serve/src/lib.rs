@@ -17,9 +17,10 @@
 //! ```
 //!
 //! * **Admission control** — the only buffer is a
-//!   [`nvpg_exec::BoundedQueue`] of accepted sockets; past `queue_depth`
-//!   the acceptor sheds load with `503` + `Retry-After`, so memory under
-//!   overload is bounded.
+//!   [`nvpg_exec::FairQueue`] of accepted sockets keyed by peer address;
+//!   past `queue_depth` (or a peer's share of it) the acceptor sheds load
+//!   with `503` + `Retry-After`, so memory under overload is bounded and
+//!   one flooding peer cannot starve the others.
 //! * **Content-addressed cache** — responses are keyed by
 //!   [`nvpg_core::canon::request_key`], which canonicalises the JSON
 //!   body (field order, whitespace, and number spelling don't matter)
