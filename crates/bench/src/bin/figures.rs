@@ -101,7 +101,11 @@ fn main() -> Result<(), Box<dyn Error>> {
                 ));
             }
             "--only" => {
-                let list = args.next().ok_or("--only requires a figure id")?;
+                // A list that names no id (`''`, `,`) is as missing as no list.
+                let list = args
+                    .next()
+                    .filter(|list| list.split(',').any(|id| !id.is_empty()))
+                    .ok_or("--only requires a figure id")?;
                 for id in list.split(',').filter(|s| !s.is_empty()) {
                     ids.insert(id.to_owned());
                 }

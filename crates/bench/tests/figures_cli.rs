@@ -1,7 +1,8 @@
 //! Command-line contract of the `figures` binary: tracing and profiling
 //! leave stdout byte-identical, the trace directory holds a schema-valid,
-//! non-empty trace, a manifest and collapsed stacks, and an unknown flag
-//! is reported as a flag.
+//! non-empty trace, a manifest and collapsed stacks, an unknown flag is
+//! reported as a flag, and an `--only` list that names no figure is a
+//! usage error.
 
 use std::path::Path;
 use std::process::Command;
@@ -66,5 +67,22 @@ fn unknown_flag_is_reported_as_a_flag() {
             "{stderr}"
         );
         assert!(out.stdout.is_empty(), "a figure ran before the usage error");
+    }
+}
+
+#[test]
+fn an_only_list_naming_no_figure_is_a_usage_error() {
+    for args in [&["--only"][..], &["--only", ""], &["--only", ","]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .output()
+            .expect("run figures");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} ran: {stderr}");
+        assert!(
+            stderr.contains("--only requires a figure id"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} produced figures");
     }
 }

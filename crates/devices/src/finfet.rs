@@ -386,6 +386,44 @@ mod tests {
         let _ = FinFetParams::nmos_20nm().with_fins(0);
     }
 
+    /// `n` evenly spaced gate biases from 0 to 0.9 V.
+    fn gate_sweep(n: usize) -> impl Iterator<Item = f64> {
+        (0..n).map(move |i| 0.9 * i as f64 / (n - 1) as f64)
+    }
+
+    #[test]
+    fn drain_current_is_monotone_in_the_gate() {
+        // Drain at 0.9 V, source grounded. The NMOS turns on as the gate
+        // rises; for the PMOS the high terminal acts as the source, so it
+        // is on at V_G = 0 and turns off as the gate nears 0.9 V.
+        let on: Vec<f64> = gate_sweep(91).map(|vg| nfet().ids(0.9, vg, 0.0)).collect();
+        for w in on.windows(2) {
+            assert!(w[1] >= w[0], "NMOS {w:?}");
+        }
+        let off: Vec<f64> = gate_sweep(91)
+            .map(|vg| pfet().ids(0.9, vg, 0.0).abs())
+            .collect();
+        assert!(off[0] > 1e-6, "PMOS on at V_G = 0: {:e}", off[0]);
+        assert!(off[90] < 1e-7, "PMOS off at V_G = 0.9: {:e}", off[90]);
+        for w in off.windows(2) {
+            assert!(w[1] <= w[0] + 1e-12, "PMOS {w:?}");
+        }
+    }
+
+    #[test]
+    fn max_gm_threshold_matches_the_card() {
+        // The max-g_m method at low V_DS: extrapolate the tangent at the
+        // peak transconductance to I_D = 0, less V_DS / 2.
+        let (m, vds, h) = (nfet(), 0.05, 1e-5);
+        let gm = |vg: f64| (m.ids(vds, vg + h, 0.0) - m.ids(vds, vg - h, 0.0)) / (2.0 * h);
+        let vg_star = gate_sweep(401)
+            .max_by(|a, b| gm(*a).total_cmp(&gm(*b)))
+            .expect("non-empty sweep");
+        let vth = vg_star - m.ids(vds, vg_star, 0.0) / gm(vg_star) - 0.5 * vds;
+        let card = m.params().vth0;
+        assert!((vth - card).abs() < 0.12, "extracted {vth} vs card {card}");
+    }
+
     #[test]
     fn saturation_region_flattens() {
         let m = nfet();

@@ -36,7 +36,6 @@
 //! ```
 
 pub mod finfet;
-pub mod iv;
 pub mod llg;
 pub mod mtj;
 pub mod retention;

@@ -21,10 +21,8 @@
 //!   transient step; runs on either linear-solver backend.
 //! * [`roots`] — Brent's method and bisection, used for break-even-time
 //!   solving (intersection of `E_cyc(t_SD)` curves).
-//! * [`ode`] — fixed-step RK4 and adaptive RKF45 integrators, used by the
-//!   optional macrospin (LLG) MTJ switching engine.
-//! * [`interp`] — linear and monotone-cubic (Fritsch–Carlson)
-//!   interpolation for characterisation tables.
+//! * [`ode`] — the adaptive RKF45 integrator, used by the optional
+//!   macrospin (LLG) MTJ switching engine.
 //! * [`cancel`] — cooperative cancellation tokens (deadline + reason +
 //!   progress heartbeat) polled by the Newton and sparse-factorisation hot
 //!   loops; zero cost when no token is installed.
@@ -42,7 +40,6 @@
 
 pub mod cancel;
 pub mod complex;
-pub mod interp;
 pub mod matrix;
 pub mod newton;
 pub mod ode;
@@ -53,12 +50,11 @@ pub mod sparse;
 
 pub use cancel::CancelToken;
 pub use complex::{ComplexMatrix, C64};
-pub use interp::{LinearInterp, MonotoneCubic};
 pub use matrix::{DenseMatrix, LuFactors, LuWorkspace, SingularMatrixError};
 pub use newton::{
     InvalidOptionsError, LinearSolver, NewtonOptions, NewtonOutcome, NewtonSolver, NonlinearSystem,
 };
-pub use ode::{rk4_step, Rkf45, Rkf45Options};
+pub use ode::{Rkf45, Rkf45Options};
 pub use rng::Rng64;
 pub use roots::{bisect, brent, BracketError};
 pub use simd::SimdLevel;

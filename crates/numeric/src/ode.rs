@@ -1,54 +1,10 @@
-//! Explicit ODE integration: fixed-step RK4 and adaptive RKF45.
+//! Explicit ODE integration: adaptive RKF45.
 //!
-//! These integrators drive the optional macrospin Landau–Lifshitz–Gilbert
-//! (LLG) engine in `nvpg-devices::mtj`, which integrates the free-layer
+//! The integrator drives the optional macrospin Landau–Lifshitz–Gilbert
+//! (LLG) engine in `nvpg_devices::llg`, which integrates the free-layer
 //! magnetisation under spin-transfer torque to validate the threshold CIMS
 //! macromodel. State vectors are small (3 components for a macrospin), so
-//! the implementations favour clarity over allocation tricks.
-
-/// Advances `y` by one classical Runge–Kutta (RK4) step of size `h`.
-///
-/// `f(t, y, dy)` writes the derivative of `y` at time `t` into `dy`.
-///
-/// # Examples
-///
-/// ```
-/// use nvpg_numeric::rk4_step;
-/// // dy/dt = -y, y(0) = 1: one step of h = 0.1.
-/// let mut y = vec![1.0];
-/// rk4_step(|_t, y, dy| dy[0] = -y[0], 0.0, 0.1, &mut y);
-/// assert!((y[0] - (-0.1_f64).exp()).abs() < 1e-7);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `h` is not finite.
-pub fn rk4_step(mut f: impl FnMut(f64, &[f64], &mut [f64]), t: f64, h: f64, y: &mut [f64]) {
-    assert!(h.is_finite(), "step size must be finite");
-    let n = y.len();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
-
-    f(t, y, &mut k1);
-    for i in 0..n {
-        tmp[i] = y[i] + 0.5 * h * k1[i];
-    }
-    f(t + 0.5 * h, &tmp, &mut k2);
-    for i in 0..n {
-        tmp[i] = y[i] + 0.5 * h * k2[i];
-    }
-    f(t + 0.5 * h, &tmp, &mut k3);
-    for i in 0..n {
-        tmp[i] = y[i] + h * k3[i];
-    }
-    f(t + h, &tmp, &mut k4);
-    for i in 0..n {
-        y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
-}
+//! the implementation favours clarity over allocation tricks.
 
 /// Options for the adaptive RKF45 integrator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -228,22 +184,6 @@ impl Rkf45 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rk4_exponential_decay_order() {
-        // Halving h should reduce error ~16x (4th order).
-        let run = |h: f64| {
-            let mut y = vec![1.0];
-            let steps = (1.0 / h) as usize;
-            for s in 0..steps {
-                rk4_step(|_t, y, dy| dy[0] = -y[0], s as f64 * h, h, &mut y);
-            }
-            (y[0] - (-1.0_f64).exp()).abs()
-        };
-        let e1 = run(0.1);
-        let e2 = run(0.05);
-        assert!(e1 / e2 > 12.0, "order check: {e1:e} / {e2:e}");
-    }
 
     #[test]
     fn rkf45_harmonic_oscillator_energy_conserved() {

@@ -1,7 +1,7 @@
 //! A deliberately small HTTP/1.1 reader/writer over `std::net`.
 //!
 //! This is transport plumbing, not a web framework: enough of RFC 9112 to
-//! serve JSON/CSV to `curl` and the load generator — request line, a
+//! serve JSON/CSV to `curl` and to `perfbench` — request line, a
 //! handful of headers (`Content-Length`, `Connection`), bounded bodies,
 //! and keep-alive. Anything outside that subset (chunked uploads,
 //! multi-line headers, HTTP/2 preludes) is rejected with a structured
@@ -73,20 +73,41 @@ impl From<std::io::Error> for ReadError {
     }
 }
 
+/// Reads one head line into `line`, counting it against `head_bytes`.
+///
+/// The read goes through [`Read::take`] capped at the head budget still
+/// unspent, so no peer can make a worker buffer more than
+/// [`MAX_HEAD_BYTES`] of head, however long its unterminated line. The
+/// cap reads from the same buffer: no extra syscall, allocation or copy.
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+    head_bytes: &mut usize,
+) -> Result<usize, ReadError> {
+    let budget = MAX_HEAD_BYTES - *head_bytes;
+    let n = reader.by_ref().take(budget as u64).read_line(line)?;
+    *head_bytes += n;
+    if n == budget && !line.ends_with('\n') {
+        return Err(ReadError::HeadersTooLarge(format!(
+            "request head exceeds the {MAX_HEAD_BYTES}-byte limit"
+        )));
+    }
+    Ok(n)
+}
+
 /// Reads one request from the stream.
 ///
 /// # Errors
 ///
 /// [`ReadError::Eof`] on clean close before a request, otherwise
-/// [`ReadError::Malformed`] / [`ReadError::Io`].
+/// [`ReadError::Malformed`] / [`ReadError::HeadersTooLarge`] /
+/// [`ReadError::BodyTooLarge`] / [`ReadError::Io`].
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
     let mut line = String::new();
     let mut head_bytes = 0usize;
-    let n = reader.read_line(&mut line)?;
-    if n == 0 {
+    if read_head_line(reader, &mut line, &mut head_bytes)? == 0 {
         return Err(ReadError::Eof);
     }
-    head_bytes += n;
     let request_line = line.trim_end().to_owned();
     let mut parts = request_line.split_whitespace();
     let method = parts
@@ -123,15 +144,8 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
     let mut header_count = 0usize;
     loop {
         line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
+        if read_head_line(reader, &mut line, &mut head_bytes)? == 0 {
             return Err(ReadError::Malformed("connection closed mid-headers".into()));
-        }
-        head_bytes += n;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::HeadersTooLarge(format!(
-                "headers exceed the {MAX_HEAD_BYTES}-byte limit"
-            )));
         }
         let header = line.trim_end();
         if header.is_empty() {
@@ -286,14 +300,22 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
+    /// Parses `raw` as the server side of one connection. The client
+    /// writes from its own thread, so an input larger than the socket
+    /// buffers cannot block the test; its write fails once the server
+    /// side hangs up early.
     fn round_trip(raw: &[u8]) -> Result<Request, ReadError> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let mut client = TcpStream::connect(addr).expect("connect");
-        client.write_all(raw).expect("send");
-        drop(client);
+        let raw = raw.to_vec();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let _ = stream.write_all(&raw);
+        });
         let (server_side, _) = listener.accept().expect("accept");
-        read_request(&mut BufReader::new(server_side))
+        let parsed = read_request(&mut BufReader::new(server_side));
+        client.join().expect("client");
+        parsed
     }
 
     #[test]
@@ -333,6 +355,13 @@ mod tests {
 
     #[test]
     fn rejects_oversized_heads_as_431() {
+        // A 64 KiB request line that never ends: the cap stops the read
+        // at the head budget instead of buffering the whole line.
+        let endless = format!("GET /{}", "a".repeat(64 * 1024));
+        assert!(matches!(
+            round_trip(endless.as_bytes()),
+            Err(ReadError::HeadersTooLarge(_))
+        ));
         // One giant header value blows the byte budget.
         let fat = format!(
             "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",

@@ -60,6 +60,8 @@
 //! | `POST /bet` | one break-even-time query |
 //! | `POST /sweep` | BET vs one swept parameter |
 //! | `POST /simulate` | SPICE deck → DC or transient results |
+//! | `POST /macro` | NV-SRAM macro spec → periphery-priced macro BET report |
+//! | `GET /debug/sleep?ms=N` | holds a worker for `N` ms (≤ 10 s); only with `debug_endpoints` |
 
 pub mod batcher;
 pub mod cache;

@@ -11,10 +11,11 @@
 //! The only test in its file, so no sibling test shares the CPU or the
 //! process-global metrics registry.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::post;
 use nvpg_obs::metrics::counters;
 use nvpg_serve::{ServeConfig, Server};
 
@@ -41,32 +42,6 @@ fn sweep_body(jitter: usize) -> String {
     )
 }
 
-/// One POST on a fresh connection; the response status, or the transport
-/// error.
-fn post(addr: SocketAddr, path: &str, body: &str) -> Result<u16, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(300)))
-        .map_err(|e| e.to_string())?;
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
-         Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| e.to_string())?;
-    let mut reply = String::new();
-    stream
-        .read_to_string(&mut reply)
-        .map_err(|e| e.to_string())?;
-    reply
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line in `{reply}`"))
-}
-
 /// A cache-less server with the given coalescing window, warmed so the
 /// one-off Table I characterisation is paid before any clock starts.
 fn start(coalesce_window_ms: u64) -> Server {
@@ -80,7 +55,10 @@ fn start(coalesce_window_ms: u64) -> Server {
         ..ServeConfig::default()
     })
     .expect("server starts");
-    assert_eq!(post(server.addr(), "/bet", r#"{"arch":"NVPG"}"#), Ok(200));
+    assert_eq!(
+        post(server.addr(), "/bet", r#"{"arch":"NVPG"}"#).status,
+        200
+    );
     server
 }
 
@@ -112,7 +90,7 @@ fn open_loop(window_ms: u64, offered_rps: f64) -> Run {
 
     let mut state = 0x5eed_0123_4567_89abu64 ^ window_ms;
     let t0 = Instant::now();
-    let statuses: Vec<Result<u16, String>> = std::thread::scope(|scope| {
+    let statuses: Vec<u16> = std::thread::scope(|scope| {
         let mut due = Duration::ZERO;
         let handles: Vec<_> = (0..REQUESTS)
             .map(|i| {
@@ -121,7 +99,7 @@ fn open_loop(window_ms: u64, offered_rps: f64) -> Run {
                 if let Some(wait) = due.checked_sub(t0.elapsed()) {
                     std::thread::sleep(wait);
                 }
-                scope.spawn(move || post(addr, "/sweep", &sweep_body(i)))
+                scope.spawn(move || post(addr, "/sweep", &sweep_body(i)).status)
             })
             .collect();
         handles
@@ -134,11 +112,11 @@ fn open_loop(window_ms: u64, offered_rps: f64) -> Run {
 
     for (i, status) in statuses.iter().enumerate() {
         assert!(
-            matches!(status, Ok(code) if *code < 500),
-            "window {window_ms} ms: sweep {i} answered {status:?}"
+            *status < 500,
+            "window {window_ms} ms: sweep {i} answered {status}"
         );
     }
-    let completed = statuses.iter().filter(|s| **s == Ok(200)).count();
+    let completed = statuses.iter().filter(|s| **s == 200).count();
     Run {
         rps: completed as f64 / wall_s.max(1e-9),
         batches: counters::SERVE_BATCH_BATCHES.get() - batches0,
@@ -159,8 +137,8 @@ fn coalescing_doubles_open_loop_sweep_throughput() {
         .map(|i| {
             let t0 = Instant::now();
             assert_eq!(
-                post(server.addr(), "/sweep", &sweep_body(1_000_000 + i)),
-                Ok(200)
+                post(server.addr(), "/sweep", &sweep_body(1_000_000 + i)).status,
+                200
             );
             t0.elapsed().as_secs_f64()
         })

@@ -1,15 +1,19 @@
 //! End-to-end tests of the `nvpg-serve` request path: byte-identity with
-//! the `figures` CLI, cache/single-flight accounting, admission control,
-//! hostile decks, and graceful drain.
+//! the `figures` CLI, cache/single-flight accounting, the cache-hot
+//! throughput gate, admission control, hostile decks, and graceful drain.
 //!
 //! The obs metrics registry is process-global, so every test serialises
 //! on one mutex and asserts *deltas* of the serve counters.
 
-use std::io::{BufRead, BufReader, Read, Write};
+mod common;
+
+use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+use common::{call, get, p99_ms, post, request, slow_body, Reply};
 use nvpg_obs::metrics::counters;
 use nvpg_serve::{ServeConfig, Server};
 
@@ -31,92 +35,6 @@ fn test_config() -> ServeConfig {
         debug_endpoints: true,
         ..ServeConfig::default()
     }
-}
-
-/// Body prefix for a deck whose transient at `t_stop = 1e-3` takes
-/// ≫ 10 s to solve (`dt_max` caps at 100 ps ⇒ ten million steps
-/// minimum) — the acceptance workload for deadline tests. Append
-/// `,"timeout_ms":N}` (or just `}`) to finish the JSON.
-const SLOW_BODY: &str = r#"{"deck":"V1 vin 0 PULSE(0 1 1n 1n 1n 1u 2u)\nR1 vin out 1k\nC1 out 0 1n\n","analysis":"tran","t_stop":1e-3"#;
-
-/// One HTTP exchange on a fresh connection.
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn text(&self) -> &str {
-        std::str::from_utf8(&self.body).expect("utf8 body")
-    }
-}
-
-fn read_reply(stream: TcpStream) -> Reply {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("status line");
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        reader.read_line(&mut line).expect("header line");
-        let h = line.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        let (k, v) = h.split_once(':').expect("header colon");
-        if k.eq_ignore_ascii_case("content-length") {
-            content_length = v.trim().parse().expect("length");
-        }
-        headers.push((k.to_owned(), v.trim().to_owned()));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    Reply {
-        status,
-        headers,
-        body,
-    }
-}
-
-fn request(addr: std::net::SocketAddr, raw: &str) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(300)))
-        .expect("timeout");
-    stream.write_all(raw.as_bytes()).expect("send");
-    read_reply(stream)
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> Reply {
-    request(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> Reply {
-    request(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
 }
 
 #[test]
@@ -590,11 +508,7 @@ fn timeout_ms_answers_504_and_frees_the_worker() {
     let expired0 = counters::SERVE_DEADLINE_EXCEEDED.get();
 
     let t0 = Instant::now();
-    let reply = post(
-        addr,
-        "/simulate",
-        &format!("{SLOW_BODY},\"timeout_ms\":500}}"),
-    );
+    let reply = post(addr, "/simulate", &slow_body(1e-3, 500));
     let elapsed = t0.elapsed();
     assert_eq!(reply.status, 504, "{}", reply.text());
     assert!(
@@ -661,21 +575,11 @@ fn follower_with_a_tighter_deadline_fails_fast() {
     // Leader: the slow solve under a 2 s deadline. `timeout_ms` is
     // stripped from the single-flight key, so the follower (same deck,
     // tighter deadline) parks behind this leader.
-    let leader = std::thread::spawn(move || {
-        post(
-            addr,
-            "/simulate",
-            &format!("{SLOW_BODY},\"timeout_ms\":2000}}"),
-        )
-    });
+    let leader = std::thread::spawn(move || post(addr, "/simulate", &slow_body(1e-3, 2000)));
     std::thread::sleep(Duration::from_millis(400));
 
     let t0 = Instant::now();
-    let follower = post(
-        addr,
-        "/simulate",
-        &format!("{SLOW_BODY},\"timeout_ms\":250}}"),
-    );
+    let follower = post(addr, "/simulate", &slow_body(1e-3, 250));
     let follower_elapsed = t0.elapsed();
     assert_eq!(follower.status, 504, "{}", follower.text());
     assert!(
@@ -713,7 +617,7 @@ fn disconnected_client_cancels_its_solve() {
     let disconnects0 = counters::SERVE_DISCONNECTS.get();
 
     // Start the slow solve under a generous deadline, then hang up.
-    let body = format!("{SLOW_BODY},\"timeout_ms\":60000}}");
+    let body = slow_body(1e-3, 60_000);
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .write_all(
@@ -773,14 +677,7 @@ fn rate_limit_sheds_the_noisy_tenant_only() {
     let addr = server.addr();
     let limited0 = counters::SERVE_RATE_LIMITED.get();
 
-    let as_tenant = |tenant: &str| {
-        request(
-            addr,
-            &format!(
-                "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Client: {tenant}\r\nConnection: close\r\n\r\n"
-            ),
-        )
-    };
+    let as_tenant = |tenant: &str| call(addr, "GET", "/healthz", Some(tenant), "");
     // The noisy tenant burns its burst of 2, then is shed.
     assert_eq!(as_tenant("noisy").status, 200);
     assert_eq!(as_tenant("noisy").status, 200);
@@ -1031,4 +928,72 @@ fn macro_endpoint_validates_solves_and_caches() {
     assert_eq!(b.body, a.body, "identical response bytes");
     assert_eq!(counters::SERVE_SOLVES.get() - solves0, 1, "no second solve");
     assert_eq!(counters::SERVE_CACHE_HITS.get() - hits0, 1);
+}
+
+/// The cache gate. A fresh `jobs: 2` server reads fig6a, fig7a and fig8a
+/// once each while its cache is cold (fig6a is a real transient solve),
+/// then answers 200 hot reads round-robin over the same ids from 4
+/// closed-loop connections. Every read answers 200, the hot p99 stays
+/// within 250 ms, and hot throughput is at least 10× cold.
+#[test]
+fn cache_hot_reads_are_ten_times_cold_throughput() {
+    const IDS: [&str; 3] = ["fig6a", "fig7a", "fig8a"];
+    const HOT_READS: usize = 200;
+    const CONNECTIONS: usize = 4;
+    let _l = lock();
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".to_owned(),
+        jobs: 2,
+        ..ServeConfig::default()
+    })
+    .expect("start");
+    let addr = server.addr();
+    let read = |id: &str| {
+        let t0 = Instant::now();
+        let status = get(addr, &format!("/figures/{id}?format=csv")).status;
+        assert_eq!(status, 200, "{id}");
+        t0.elapsed()
+    };
+
+    let t0 = Instant::now();
+    for id in IDS {
+        read(id);
+    }
+    let cold_rps = IDS.len() as f64 / t0.elapsed().as_secs_f64();
+
+    let cursor = AtomicUsize::new(0);
+    let t0 = Instant::now();
+    let mut hot: Vec<Duration> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..CONNECTIONS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut latencies = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= HOT_READS {
+                            return latencies;
+                        }
+                        latencies.push(read(IDS[i % IDS.len()]));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("hot reader"))
+            .collect()
+    });
+    let hot_rps = HOT_READS as f64 / t0.elapsed().as_secs_f64();
+
+    assert_eq!(hot.len(), HOT_READS);
+    let p99 = p99_ms(&mut hot);
+    let speedup = hot_rps / cold_rps;
+    eprintln!(
+        "cache: cold {cold_rps:.2} req/s, hot {hot_rps:.1} req/s ({speedup:.0}x), hot p99 {p99:.1} ms"
+    );
+    assert!(p99 <= 250.0, "cache-hot p99 {p99:.1} ms exceeds 250 ms");
+    assert!(
+        speedup >= 10.0,
+        "cache-hot throughput is {speedup:.1}x cold (gate: >= 10x; {hot_rps:.1} vs {cold_rps:.2} req/s)"
+    );
 }
