@@ -17,7 +17,7 @@ pub fn slow_body(t_stop: f64, timeout_ms: u64) -> String {
     )
 }
 
-/// One HTTP exchange on a fresh connection.
+/// One HTTP reply.
 pub struct Reply {
     pub status: u16,
     pub headers: Vec<(String, String)>,
@@ -37,8 +37,8 @@ impl Reply {
     }
 }
 
-fn read_reply(stream: TcpStream) -> Reply {
-    let mut reader = BufReader::new(stream);
+/// Reads one reply. Bytes past its body stay in `reader` for the next.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> Reply {
     let mut line = String::new();
     reader.read_line(&mut line).expect("status line");
     let status: u16 = line
@@ -78,7 +78,32 @@ pub fn request(addr: SocketAddr, raw: &str) -> Reply {
         .set_read_timeout(Some(Duration::from_secs(300)))
         .expect("timeout");
     stream.write_all(raw.as_bytes()).expect("send");
-    read_reply(stream)
+    read_reply(&mut BufReader::new(stream))
+}
+
+/// A keep-alive client: one connection with no socket options, its
+/// replies read through one persistent buffer.
+pub struct KeepAlive {
+    reader: BufReader<TcpStream>,
+}
+
+impl KeepAlive {
+    pub fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        KeepAlive {
+            reader: BufReader::new(stream),
+        }
+    }
+
+    /// A `GET` that leaves the connection open for the next request.
+    pub fn get(&mut self, path: &str) -> Reply {
+        let raw = format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
+        self.reader
+            .get_mut()
+            .write_all(raw.as_bytes())
+            .expect("send");
+        read_reply(&mut self.reader)
+    }
 }
 
 /// A `Connection: close` request; `tenant` becomes the `X-Client` header.
