@@ -75,7 +75,21 @@ pub trait NonlinearDevice: std::fmt::Debug {
     /// voltages `v` (same order as [`nodes`](Self::nodes); ground = 0 V).
     ///
     /// `stamp` arrives zeroed with `stamp.terminals() == nodes().len()`.
+    /// The result must depend only on `v` and the device's state: the
+    /// engine may evaluate a committed step's stamp later, when a bypass
+    /// test first reads it, and relies on getting the same bits.
     fn load(&self, v: &[f64], stamp: &mut DeviceStamp);
+
+    /// Writes the terminal charges at the terminal voltages `v` into every
+    /// entry of `q` (`q.len() == nodes().len()`): the same values
+    /// [`load`](Self::load) puts in `stamp.charge`, bit for bit. Devices
+    /// without a charge model write zeros.
+    ///
+    /// When a transient step is committed the engine needs only the
+    /// charge history, so it calls this there instead of `load`; the
+    /// stamp at the committed voltages is evaluated only if the next
+    /// assembly's bypass test reads it.
+    fn charge(&self, v: &[f64], q: &mut [f64]);
 
     /// Called once when a transient step from `t` to `t + dt` is accepted,
     /// with the solved terminal voltages. State machines (e.g. MTJ

@@ -90,18 +90,40 @@ pub(crate) struct MnaSystem<'a> {
     /// bypass (the DC default). Set by the transient driver from
     /// [`crate::transient::TransientOptions::device_bypass_tol`].
     bypass_tol: f64,
-    /// Terminal voltages at which each device's stamp was last computed.
+    /// Terminal voltages of each device's bypass linearisation point.
     dev_v_cache: Vec<Vec<f64>>,
-    /// Whether the corresponding stamp/voltage cache entry is usable.
-    dev_cache_valid: Vec<bool>,
+    /// What each device's bypass cache holds.
+    dev_cached: Vec<Cached>,
     /// Scratch: current terminal voltages of the device being assembled.
     dev_v_scratch: Vec<f64>,
     /// Scratch: voltage deltas vs the cached linearisation point.
     dev_dv_scratch: Vec<f64>,
-    /// Full `dev.load` evaluations performed (bypass telemetry).
+    /// `dev.load` evaluations at Newton iterates (bypass telemetry).
     device_evals: u64,
+    /// `dev.load` evaluations of a committed step's stamp, deferred until
+    /// a bypass test read it.
+    device_deferred_evals: u64,
     /// Evaluations skipped by re-emitting the cached stamp.
     device_bypasses: u64,
+    /// CSC slot of every Jacobian add of a sparse full assembly, in
+    /// stamping order: recorded by the first, replayed by the rest.
+    slot_tape: Option<Vec<u32>>,
+}
+
+/// What a device's bypass cache holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cached {
+    /// Nothing: the next assembly evaluates the device.
+    Empty,
+    /// A committed step's terminal voltages, with the stamp at them not
+    /// yet evaluated. The device's state changes only when a step is
+    /// committed and a stamp is a pure function of (state, voltages), so
+    /// evaluating it when a bypass test first reads it gives the stamp
+    /// the commit would have computed, bit for bit — and a device the
+    /// next iterate re-evaluates anyway never pays for it.
+    Voltages,
+    /// Terminal voltages and the stamp evaluated at them.
+    Stamp,
 }
 
 /// Jacobian destination for [`MnaSystem::assemble`]: either the real
@@ -132,16 +154,51 @@ impl JacSink for DenseMatrix {
     }
 }
 
-impl JacSink for CscMatrix {
+/// Sparse sink for an [`MnaSystem`]'s first full assembly: adds by
+/// `(row, col)` search and records the slot each add landed in.
+struct SlotRecorder<'m> {
+    matrix: &'m mut CscMatrix,
+    tape: Vec<u32>,
+}
+
+impl JacSink for SlotRecorder<'_> {
     const ACTIVE: bool = true;
     #[inline]
     fn add(&mut self, r: usize, c: usize, v: f64) {
-        CscMatrix::add(self, r, c, v);
+        self.matrix.add(r, c, v);
+        let slot = self.matrix.slot(r, c).expect("added above");
+        self.tape
+            .push(u32::try_from(slot).expect("sparse pattern exceeds u32 slots"));
+    }
+}
+
+/// Sparse sink for every later full assembly. One `MnaSystem` stamps the
+/// same sequence of positions every time (it branches only on element
+/// kinds, node grounding and whether the context integrates), so the
+/// `k`-th add goes to the `k`-th recorded slot without a search.
+struct SlotReplay<'m> {
+    matrix: &'m mut CscMatrix,
+    tape: &'m [u32],
+    next: usize,
+}
+
+impl JacSink for SlotReplay<'_> {
+    const ACTIVE: bool = true;
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        let slot = self.tape[self.next] as usize;
+        self.next += 1;
+        debug_assert_eq!(
+            self.matrix.slot(r, c),
+            Some(slot),
+            "replayed stamp ({r}, {c}) left its recorded slot"
+        );
+        self.matrix.add_at(slot, v);
     }
 }
 
 /// Collects Jacobian stamp *positions* (values discarded) — used once per
-/// topology to build the sparse structural pattern.
+/// sparse analysis to build the structural pattern.
 struct PatternSink(PatternBuilder);
 
 impl JacSink for PatternSink {
@@ -220,11 +277,13 @@ impl<'a> MnaSystem<'a> {
             stamps,
             bypass_tol: 0.0,
             dev_v_cache,
-            dev_cache_valid: vec![false; n_devs],
+            dev_cached: vec![Cached::Empty; n_devs],
             dev_v_scratch: vec![0.0; max_terminals],
             dev_dv_scratch: vec![0.0; max_terminals],
             device_evals: 0,
+            device_deferred_evals: 0,
             device_bypasses: 0,
+            slot_tape: None,
         }
     }
 
@@ -236,9 +295,14 @@ impl<'a> MnaSystem<'a> {
         self.bypass_tol = tol;
     }
 
-    /// Full device-model evaluations performed.
+    /// Device-model evaluations at Newton iterates.
     pub(crate) fn device_evals(&self) -> u64 {
         self.device_evals
+    }
+
+    /// Deferred device-model evaluations at committed steps' voltages.
+    pub(crate) fn device_deferred_evals(&self) -> u64 {
+        self.device_deferred_evals
     }
 
     /// Device evaluations skipped via the bypass cache.
@@ -247,7 +311,8 @@ impl<'a> MnaSystem<'a> {
     }
 
     /// Initialises integration state from a converged solution `x` at the
-    /// start of a transient run.
+    /// start of a transient run. Like [`accept_step`](Self::accept_step),
+    /// it evaluates only device charges and leaves each stamp pending.
     pub(crate) fn init_integration(&mut self, x: &[f64], method: IntegrationMethod) {
         let mut cap_v_prev = Vec::new();
         let mut dev_q_prev = Vec::new();
@@ -262,11 +327,10 @@ impl<'a> MnaSystem<'a> {
                     for (c, &n) in cache.iter_mut().zip(dev.nodes()) {
                         *c = volt(x, n);
                     }
-                    let stamp = &mut self.stamps[dev_ord];
-                    stamp.clear();
-                    dev.load(cache, stamp);
-                    self.dev_cache_valid[dev_ord] = true;
-                    dev_q_prev.push(stamp.charge.clone());
+                    let mut q = vec![0.0; cache.len()];
+                    dev.charge(cache, &mut q);
+                    dev_q_prev.push(q);
+                    self.dev_cached[dev_ord] = Cached::Voltages;
                     dev_ord += 1;
                 }
                 _ => {}
@@ -289,21 +353,24 @@ impl<'a> MnaSystem<'a> {
             dev_q_prev,
             ind_i_prev,
         });
+        // Capacitor companions stamp only in an integrating context, so
+        // a tape recorded before this call no longer matches.
+        self.slot_tape = None;
     }
 
     /// Commits an accepted transient step: updates companion-model history
-    /// and lets devices advance their internal state.
+    /// and lets devices advance their internal state. Each device's charge
+    /// is evaluated at the accepted voltages for the history; its stamp
+    /// there is left pending ([`Cached::Voltages`]) for the bypass test.
     pub(crate) fn accept_step(&mut self, x: &[f64], t: f64, dt: f64) {
         let mut cap_ord = 0usize;
         let mut dev_ord = 0usize;
         let mut ind_ord = 0usize;
-        let branch_idx = self.branch_idx.clone();
-        // Split borrows: take the integration state out, put it back after.
-        let mut integ = self.ctx.integ.take().expect("accept_step without init");
+        let integ = self.ctx.integ.as_mut().expect("accept_step without init");
         for (eidx, e) in self.circuit.elements.iter_mut().enumerate() {
             match e {
                 Element::Inductor { .. } => {
-                    let br = branch_idx[eidx].expect("inductor branch");
+                    let br = self.branch_idx[eidx].expect("inductor branch");
                     integ.ind_i_prev[ind_ord] = x[br];
                     ind_ord += 1;
                 }
@@ -325,21 +392,16 @@ impl<'a> MnaSystem<'a> {
                         *c = volt(x, n);
                     }
                     dev.accept_step(cache, t, dt);
-                    // Re-evaluate charge at the accepted voltages/state;
-                    // this also refreshes the bypass linearisation point,
-                    // so a stamp cached here reflects the post-advance
-                    // device state.
-                    let stamp = &mut self.stamps[dev_ord];
-                    stamp.clear();
-                    dev.load(cache, stamp);
-                    self.dev_cache_valid[dev_ord] = true;
-                    integ.dev_q_prev[dev_ord].copy_from_slice(&stamp.charge);
+                    // Charge at the accepted voltages and post-advance
+                    // state; the accepted voltages also become the bypass
+                    // linearisation point.
+                    dev.charge(cache, &mut integ.dev_q_prev[dev_ord]);
+                    self.dev_cached[dev_ord] = Cached::Voltages;
                     dev_ord += 1;
                 }
                 _ => {}
             }
         }
-        self.ctx.integ = Some(integ);
     }
 }
 
@@ -378,7 +440,32 @@ impl NonlinearSystem for MnaSystem<'_> {
     }
 
     fn eval_sparse(&mut self, x: &[f64], residual: &mut [f64], jacobian: &mut CscMatrix) -> bool {
-        self.assemble(x, residual, jacobian);
+        // Taken out for the assembly; a panic inside it leaves `None`, so
+        // the next assembly records afresh.
+        match self.slot_tape.take() {
+            Some(tape) => {
+                let mut sink = SlotReplay {
+                    matrix: jacobian,
+                    tape: &tape,
+                    next: 0,
+                };
+                self.assemble(x, residual, &mut sink);
+                debug_assert_eq!(
+                    sink.next,
+                    tape.len(),
+                    "assembly stamped fewer entries than recorded"
+                );
+                self.slot_tape = Some(tape);
+            }
+            None => {
+                let mut sink = SlotRecorder {
+                    matrix: jacobian,
+                    tape: Vec::new(),
+                };
+                self.assemble(x, residual, &mut sink);
+                self.slot_tape = Some(sink.tape);
+            }
+        }
 
         // Mirror `eval`'s fault handling exactly, so the fault-injection
         // suite exercises the same corruption sites on the sparse path.
@@ -597,20 +684,27 @@ impl MnaSystem<'_> {
                     // zero (e.g. an MTJ mid-switching).
                     let tol = self.bypass_tol * dev.bypass_tolerance_scale();
                     let cache = &mut self.dev_v_cache[dev_ord];
+                    let cached = &mut self.dev_cached[dev_ord];
                     let bypass = tol > 0.0
-                        && self.dev_cache_valid[dev_ord]
+                        && *cached != Cached::Empty
                         && vs
                             .iter()
                             .zip(cache.iter())
                             .all(|(s, c)| (s - c).abs() <= tol);
                     let stamp = &mut self.stamps[dev_ord];
                     if bypass {
+                        if *cached == Cached::Voltages {
+                            stamp.clear();
+                            dev.load(cache, stamp);
+                            *cached = Cached::Stamp;
+                            self.device_deferred_evals += 1;
+                        }
                         self.device_bypasses += 1;
                     } else {
                         stamp.clear();
                         dev.load(vs, stamp);
                         cache.copy_from_slice(vs);
-                        self.dev_cache_valid[dev_ord] = true;
+                        *cached = Cached::Stamp;
                         self.device_evals += 1;
                     }
 

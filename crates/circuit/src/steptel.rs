@@ -32,9 +32,22 @@ pub struct StepStats {
     /// Newton iterations served by a stale LU factorisation, skipping
     /// both Jacobian assembly and factorisation (modified Newton).
     pub refactorizations_avoided: u64,
-    /// Full nonlinear-device model evaluations.
+    /// Nonlinear-device model evaluations at Newton iterates: every
+    /// assembly whose bypass test fails (or is off) runs the model at the
+    /// iterate's terminal voltages.
     pub device_evals: u64,
-    /// Device evaluations skipped by the terminal-voltage bypass cache.
+    /// Deferred model evaluations at a committed step's voltages. Starting
+    /// a run or accepting a step evaluates only device charges and leaves
+    /// each device's stamp at the committed voltages pending; the first
+    /// bypass test that reads a pending stamp evaluates it, and a device
+    /// whose next iterate misses the bypass never does. With
+    /// `device_evals` this counts every model evaluation a transient
+    /// runs, except the sparse backend's one structural pass per analysis
+    /// (one evaluation per device, values discarded).
+    pub device_deferred_evals: u64,
+    /// Device evaluations skipped by the terminal-voltage bypass cache
+    /// (a hit on a pending stamp counts here and in
+    /// `device_deferred_evals`).
     pub device_bypasses: u64,
     /// Largest normalised LTE ratio (estimate / tolerance) observed on an
     /// *accepted* step; ≤ 1 unless a step was accepted at the `dt_min`
@@ -91,6 +104,7 @@ impl StepStats {
         counters::LU_REFACTORIZATIONS.add(self.jacobian_refactorizations);
         counters::LU_REUSES.add(self.refactorizations_avoided);
         counters::DEVICE_EVALS.add(self.device_evals);
+        counters::DEVICE_DEFERRED_EVALS.add(self.device_deferred_evals);
         counters::DEVICE_BYPASSES.add(self.device_bypasses);
         gauges::MAX_LTE_RATIO.max(self.max_lte_ratio);
     }
@@ -106,6 +120,7 @@ impl AddAssign for StepStats {
         self.jacobian_refactorizations += rhs.jacobian_refactorizations;
         self.refactorizations_avoided += rhs.refactorizations_avoided;
         self.device_evals += rhs.device_evals;
+        self.device_deferred_evals += rhs.device_deferred_evals;
         self.device_bypasses += rhs.device_bypasses;
         self.max_lte_ratio = self.max_lte_ratio.max(rhs.max_lte_ratio);
     }
@@ -150,6 +165,7 @@ mod tests {
             jacobian_refactorizations: 6,
             refactorizations_avoided: 14,
             device_evals: 30,
+            device_deferred_evals: 4,
             device_bypasses: 10,
             max_lte_ratio: 0.4,
             ..Default::default()
@@ -159,11 +175,13 @@ mod tests {
             rejected_newton: 2,
             newton_iterations: 10,
             newton_solves: 7,
+            device_deferred_evals: 3,
             max_lte_ratio: 0.9,
             ..Default::default()
         };
         a += b;
         assert_eq!(a.accepted_steps, 15);
+        assert_eq!(a.device_deferred_evals, 7);
         assert_eq!(a.rejected_newton, 2);
         assert_eq!(a.rejected_lte, 1);
         assert_eq!(a.attempted_steps(), 18);

@@ -336,7 +336,8 @@ pub fn transient(
 
     // Per-step scratch, allocated once: the Newton trial vector, the
     // LTE controller's solution history, and the recorder's sample row.
-    // The step loop itself is allocation-free.
+    // The step loop allocates nothing else; only the trace's columns
+    // grow, amortised.
     let mut x_try = x.clone();
     let mut x_prev = x.clone();
     let mut row: Vec<f64> = Vec::with_capacity(trace.signal_names().len());
@@ -624,6 +625,7 @@ pub fn transient(
     steps.jacobian_refactorizations = solver.total_refactorizations();
     steps.refactorizations_avoided = solver.refactorizations_avoided();
     steps.device_evals = sys.device_evals();
+    steps.device_deferred_evals = sys.device_deferred_evals();
     steps.device_bypasses = sys.device_bypasses();
 
     // One registry deposit per run, from the aggregated stats, so the
@@ -647,7 +649,115 @@ pub fn transient(
 mod tests {
     use super::*;
     use crate::dc::{operating_point, DcOptions};
+    use crate::element::{DeviceStamp, NonlinearDevice};
     use crate::waveform::{Pulse, Waveform};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// A two-terminal cubic conductance with a linear charge that counts
+    /// its `load` calls.
+    #[derive(Debug)]
+    struct CountingDevice {
+        nodes: [NodeId; 2],
+        loads: Arc<AtomicU64>,
+    }
+
+    const COUNTING_C: f64 = 1e-15;
+
+    impl NonlinearDevice for CountingDevice {
+        fn name(&self) -> &str {
+            "xcount"
+        }
+
+        fn nodes(&self) -> &[NodeId] {
+            &self.nodes
+        }
+
+        fn load(&self, v: &[f64], stamp: &mut DeviceStamp) {
+            self.loads.fetch_add(1, Ordering::Relaxed);
+            let u = v[0] - v[1];
+            let i = 1e-4 * u + 1e-4 * u * u * u;
+            let g = 1e-4 + 3e-4 * u * u;
+            stamp.current[0] = i;
+            stamp.current[1] = -i;
+            stamp.conductance[0][0] = g;
+            stamp.conductance[0][1] = -g;
+            stamp.conductance[1][0] = -g;
+            stamp.conductance[1][1] = g;
+            self.charge(v, &mut stamp.charge);
+            stamp.capacitance[0][0] = COUNTING_C;
+            stamp.capacitance[0][1] = -COUNTING_C;
+            stamp.capacitance[1][0] = -COUNTING_C;
+            stamp.capacitance[1][1] = COUNTING_C;
+        }
+
+        fn charge(&self, v: &[f64], q: &mut [f64]) {
+            q[0] = COUNTING_C * (v[0] - v[1]);
+            q[1] = -q[0];
+        }
+    }
+
+    /// Every `load` a transient runs shows up once in its `StepStats`:
+    /// at a Newton iterate (`device_evals`) or as a committed step's
+    /// stamp evaluated when a bypass test reads it
+    /// (`device_deferred_evals`). Committing a step evaluates only the
+    /// charge, so with bypass off no stamp is ever deferred.
+    #[test]
+    fn every_device_load_is_counted_once() {
+        for tol in [1e-6, 0.0] {
+            let loads = Arc::new(AtomicU64::new(0));
+            let mut ckt = Circuit::new();
+            let vin = ckt.node("vin");
+            let out = ckt.node("out");
+            ckt.vsource(
+                "v1",
+                vin,
+                Circuit::GROUND,
+                Waveform::Pulse(Pulse {
+                    v1: 0.0,
+                    v2: 1.0,
+                    delay: 1e-9,
+                    rise: 50e-12,
+                    fall: 50e-12,
+                    width: 2e-9,
+                    period: f64::INFINITY,
+                }),
+            )
+            .unwrap();
+            ckt.resistor("r1", vin, out, 1e3).unwrap();
+            ckt.device(Box::new(CountingDevice {
+                nodes: [out, Circuit::GROUND],
+                loads: Arc::clone(&loads),
+            }))
+            .unwrap();
+            let op = operating_point(&mut ckt, &DcOptions::default()).unwrap();
+            loads.store(0, Ordering::Relaxed);
+            let opts = TransientOptions {
+                device_bypass_tol: tol,
+                solver: SolverChoice::Dense,
+                ..TransientOptions::to(6e-9)
+            };
+            let s = transient(&mut ckt, &opts, &op).unwrap().steps;
+            let loads = loads.load(Ordering::Relaxed);
+            assert!(s.accepted_steps > 10, "tol {tol}: {s}");
+            assert_eq!(
+                loads,
+                s.device_evals + s.device_deferred_evals,
+                "tol {tol}: {s:?}"
+            );
+            if tol > 0.0 {
+                assert!(s.device_bypasses > 0, "the bypass never fired: {s:?}");
+                assert!(s.device_deferred_evals > 0, "nothing was deferred: {s:?}");
+                assert!(
+                    s.device_deferred_evals < s.accepted_steps,
+                    "a deferred stamp was evaluated for every step: {s:?}"
+                );
+            } else {
+                assert_eq!(s.device_deferred_evals, 0, "{s:?}");
+                assert_eq!(s.device_bypasses, 0, "{s:?}");
+            }
+        }
+    }
 
     /// RC low-pass step response: v(out) = 1 − exp(−t/RC).
     #[test]

@@ -98,6 +98,10 @@ fn counters_reconcile_with_returned_step_stats() {
         ),
         ("solve.lu_reuses", run.steps.refactorizations_avoided),
         ("solve.device_evals", run.steps.device_evals),
+        (
+            "solve.device_deferred_evals",
+            run.steps.device_deferred_evals,
+        ),
         ("solve.device_bypasses", run.steps.device_bypasses),
     ] {
         assert_eq!(

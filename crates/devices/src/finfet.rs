@@ -184,6 +184,12 @@ impl FinFet {
         &self.params
     }
 
+    /// Gate and junction capacitance of the whole device, `(C_g, C_j)`.
+    fn capacitances(&self) -> (f64, f64) {
+        let p = &self.params;
+        (p.cg_per_fin * p.fins as f64, p.cj_per_fin * p.fins as f64)
+    }
+
     /// Drain current `I_D` (flowing drain → channel → source for NMOS with
     /// positive `V_DS`) as a function of absolute terminal voltages.
     ///
@@ -253,15 +259,9 @@ impl NonlinearDevice for FinFet {
         stamp.conductance[2][1] = -dg;
         stamp.conductance[2][2] = -ds;
 
-        // Constant-capacitance charge partition: gate charge splits to
-        // drain and source; junction caps to the local reference (ground).
-        let p = &self.params;
-        let cg = p.cg_per_fin * p.fins as f64;
-        let cj = p.cj_per_fin * p.fins as f64;
+        self.charge(v, &mut stamp.charge);
+        let (cg, cj) = self.capacitances();
         let half = 0.5 * cg;
-        stamp.charge[1] = cg * vg - half * vd - half * vs;
-        stamp.charge[0] = half * (vd - vg) + cj * vd;
-        stamp.charge[2] = half * (vs - vg) + cj * vs;
         stamp.capacitance[1][1] = cg;
         stamp.capacitance[1][0] = -half;
         stamp.capacitance[1][2] = -half;
@@ -269,6 +269,17 @@ impl NonlinearDevice for FinFet {
         stamp.capacitance[0][0] = half + cj;
         stamp.capacitance[2][1] = -half;
         stamp.capacitance[2][2] = half + cj;
+    }
+
+    fn charge(&self, v: &[f64], q: &mut [f64]) {
+        // Constant-capacitance charge partition: gate charge splits to
+        // drain and source; junction caps to the local reference (ground).
+        let (vd, vg, vs) = (v[0], v[1], v[2]);
+        let (cg, cj) = self.capacitances();
+        let half = 0.5 * cg;
+        q[1] = cg * vg - half * vd - half * vs;
+        q[0] = half * (vd - vg) + cj * vd;
+        q[2] = half * (vs - vg) + cj * vs;
     }
 }
 

@@ -300,6 +300,10 @@ impl NonlinearDevice for Mtj {
         stamp.conductance[1][1] = g;
     }
 
+    fn charge(&self, _v: &[f64], q: &mut [f64]) {
+        q.fill(0.0);
+    }
+
     fn accept_step(&mut self, v: &[f64], _t: f64, dt: f64) {
         let bias = v[0] - v[1];
         let i = self.current(bias);

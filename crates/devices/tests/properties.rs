@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use nvpg_circuit::{DeviceStamp, NodeId, NonlinearDevice};
 use nvpg_devices::finfet::{FinFet, FinFetParams};
 use nvpg_devices::mtj::{Mtj, MtjParams, MtjState};
+use nvpg_devices::retention::{Fefet, FefetParams, RetentionState};
 
 fn nfet() -> FinFet {
     FinFet::new(
@@ -67,6 +68,41 @@ proptest! {
                 "jump {:e}",
                 (nudged - base).abs()
             );
+        }
+    }
+
+    /// `charge` writes exactly the charges `load` stamps, bit for bit, for
+    /// every circuit device model: NMOS and PMOS FinFETs with 1–4 fins,
+    /// the MTJ and the FeFET in both states. The transient engine commits
+    /// a step with `charge` alone, so any difference would move the
+    /// charge history and every answer after it.
+    #[test]
+    fn charge_is_bit_identical_to_the_loaded_charge(
+        va in -1.0f64..1.0,
+        vb in -1.0f64..1.0,
+        vc in -1.0f64..1.0,
+        fins in 1u32..5,
+    ) {
+        let g = NodeId::GROUND;
+        let mut devices: Vec<Box<dyn NonlinearDevice>> = Vec::new();
+        for params in [FinFetParams::nmos_20nm(), FinFetParams::pmos_20nm()] {
+            devices.push(Box::new(FinFet::new("m", g, g, g, params.with_fins(fins))));
+        }
+        for state in [MtjState::Parallel, MtjState::AntiParallel] {
+            devices.push(Box::new(Mtj::new("x", g, g, MtjParams::table1(), state)));
+        }
+        for state in [RetentionState::LowR, RetentionState::HighR] {
+            devices.push(Box::new(Fefet::new("f", g, g, FefetParams::demo(), state)));
+        }
+        let bits = |x: &[f64]| x.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for dev in &devices {
+            let v = &[va, vb, vc][..dev.nodes().len()];
+            let mut stamp = DeviceStamp::new(v.len());
+            dev.load(v, &mut stamp);
+            // NaN-filled, so an entry `charge` leaves unwritten fails too.
+            let mut q = vec![f64::NAN; v.len()];
+            dev.charge(v, &mut q);
+            prop_assert_eq!(bits(&q), bits(&stamp.charge), "{:?} at {:?}", dev, v);
         }
     }
 

@@ -1,10 +1,93 @@
 //! The macro-scale data-survival gate: a generated 16×16 NV-SRAM macro
 //! (cell array plus full periphery) keeps every bit through store →
-//! super-cutoff shutdown → hold → restore on the sparse backend.
+//! super-cutoff shutdown → hold → restore on the sparse backend; and a
+//! bit-exact pin of the same cycle on a 4×4 macro.
 
 use nvpg_cells::array::checkerboard;
-use nvpg_circuit::SolverChoice;
+use nvpg_circuit::{SolverChoice, StepStats};
 use nvpg_macro::{Granularity, MacroSpec, NvMacro};
+use nvpg_numeric::Rng64;
+
+/// Pins a sparse 4×4 cycle (mux 2, two gating banks, one fair coin per
+/// bit from seed 1) to its exact phase energies and step counts, in
+/// every profile. Assembly and bookkeeping speed-ups such as slot-bound
+/// stamping and deferred post-step stamps must leave every answer bit
+/// where it was; one that moves a bit fails here. The sparse path runs
+/// no SIMD kernel, so the pin also holds under `NVPG_SIMD=scalar`.
+#[test]
+fn four_square_macro_cycle_is_bit_exact() {
+    let spec = MacroSpec::new(4, 4, 2).with_granularity(Granularity::PerBank(2));
+    let mut rng = Rng64::seed_from_u64(1);
+    let bits: Vec<Vec<bool>> = (0..4)
+        .map(|_| (0..4).map(|_| rng.next_u64() & 1 == 1).collect())
+        .collect();
+    let mut m = NvMacro::with_solver(spec, SolverChoice::Sparse, |r, c| bits[r][c]).unwrap();
+    let groups: Vec<usize> = (0..spec.groups()).collect();
+    let stats_before = *m.step_stats();
+
+    let energies = [
+        m.store(&groups).unwrap().energy.value(),
+        m.shutdown(&groups, true).unwrap().energy.value(),
+        m.hold(20e-9).unwrap().energy.value(),
+        m.restore(&groups).unwrap().energy.value(),
+    ];
+    let hex = energies.map(|e| format!("{:016x}", e.to_bits()));
+    assert_eq!(
+        hex,
+        [
+            "3d999855eb9593c3",
+            "bcd1490e2a52b683",
+            "3ce9f566ea4c701b",
+            "3d75a9746a3de7d2",
+        ],
+        "phase energies (store, shutdown, hold, restore) moved: {energies:?}"
+    );
+
+    let s = *m.step_stats();
+    assert_eq!(
+        stats_before,
+        StepStats::default(),
+        "the DC set-up runs no transient"
+    );
+    let counts = [
+        ("accepted_steps", s.accepted_steps),
+        ("rejected_newton", s.rejected_newton),
+        ("rejected_lte", s.rejected_lte),
+        ("newton_iterations", s.newton_iterations),
+        ("newton_solves", s.newton_solves),
+        ("jacobian_refactorizations", s.jacobian_refactorizations),
+        ("refactorizations_avoided", s.refactorizations_avoided),
+        ("device_evals", s.device_evals),
+        ("device_bypasses", s.device_bypasses),
+    ];
+    assert_eq!(
+        counts,
+        [
+            ("accepted_steps", 2162),
+            ("rejected_newton", 0),
+            ("rejected_lte", 139),
+            ("newton_iterations", 4536),
+            ("newton_solves", 2301),
+            ("jacobian_refactorizations", 1779),
+            ("refactorizations_avoided", 2757),
+            ("device_evals", 566772),
+            ("device_bypasses", 449292),
+        ],
+        "step counts moved"
+    );
+    assert_eq!(
+        s.max_lte_ratio.to_bits(),
+        0x3fefebcd08166c43,
+        "largest accepted LTE ratio moved: {}",
+        s.max_lte_ratio
+    );
+
+    let kept = (0..4)
+        .flat_map(|r| (0..4).map(move |c| (r, c)))
+        .filter(|&(r, c)| m.data(r, c) == bits[r][c])
+        .count();
+    assert_eq!(kept, 16, "bits lost through the 4×4 power cycle");
+}
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only gate: cargo test --release")]

@@ -9,8 +9,10 @@
 //!   circuit topology, collected once from a pattern-only MNA assembly and
 //!   shared by every Newton iteration, transient step, and rescue retry.
 //! * [`CscMatrix`] — compressed-sparse-column storage over a **fixed**
-//!   pattern; `add` is a per-column binary search, `clear` zeroes values
-//!   without touching structure, so assembly is alloc-free.
+//!   pattern; `add` is a per-column binary search (`slot` + `add_at` let a
+//!   caller that stamps the same positions every time search only once),
+//!   `clear` zeroes values without touching structure, so assembly is
+//!   alloc-free.
 //! * [`SparseLu`] — left-looking Gilbert–Peierls LU with threshold partial
 //!   pivoting (diagonal-preferring, as in KLU) over a fill-reducing
 //!   minimum-degree column ordering. The **first** factorisation performs the
@@ -129,8 +131,12 @@ impl CscMatrix {
         self.values.fill(0.0);
     }
 
+    /// Storage slot of `(row, col)` (a binary search over its column), or
+    /// `None` outside the pattern. Slots are fixed with the pattern, so a
+    /// caller that stamps the same positions again and again can look
+    /// them up once and add through [`CscMatrix::add_at`].
     #[inline]
-    fn pos(&self, row: usize, col: usize) -> Option<usize> {
+    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
         let lo = self.colptr[col];
         let hi = self.colptr[col + 1];
         self.rowind[lo..hi]
@@ -147,15 +153,26 @@ impl CscMatrix {
     /// outside the analysed topology is a logic error, not a numeric one.
     #[inline]
     pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        match self.pos(row, col) {
+        match self.slot(row, col) {
             Some(p) => self.values[p] += value,
             None => panic!("stamp at ({row}, {col}) outside the sparse pattern"),
         }
     }
 
+    /// Adds `value` at storage slot `slot`, as returned by
+    /// [`CscMatrix::slot`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= self.nnz()`.
+    #[inline]
+    pub fn add_at(&mut self, slot: usize, value: f64) {
+        self.values[slot] += value;
+    }
+
     /// Value at `(row, col)`, `0.0` for positions outside the pattern.
     pub fn get(&self, row: usize, col: usize) -> f64 {
-        self.pos(row, col).map_or(0.0, |p| self.values[p])
+        self.slot(row, col).map_or(0.0, |p| self.values[p])
     }
 
     /// `y = A·x` (sparse matvec, column-major scatter).
@@ -439,8 +456,9 @@ impl SparseLu {
         for j in 0..n {
             let wj = w[j];
             if wj != 0.0 {
-                for p in self.l_colptr[j]..self.l_colptr[j + 1] {
-                    w[self.l_rowind[p]] -= self.l_values[p] * wj;
+                let (lo, hi) = (self.l_colptr[j], self.l_colptr[j + 1]);
+                for (&i, &l) in self.l_rowind[lo..hi].iter().zip(&self.l_values[lo..hi]) {
+                    w[i] -= l * wj;
                 }
             }
         }
@@ -452,8 +470,12 @@ impl SparseLu {
             let wj = w[j] / diag;
             w[j] = wj;
             if wj != 0.0 {
-                for p in self.u_colptr[j]..hi - 1 {
-                    w[self.u_rowind[p]] -= self.u_values[p] * wj;
+                let lo = self.u_colptr[j];
+                for (&i, &u) in self.u_rowind[lo..hi - 1]
+                    .iter()
+                    .zip(&self.u_values[lo..hi - 1])
+                {
+                    w[i] -= u * wj;
                 }
             }
         }
@@ -727,8 +749,9 @@ impl SparseLu {
                 w[r] = 0.0;
                 self.u_values[p] = xr;
                 if xr != 0.0 {
-                    for lp in self.l_colptr[r]..self.l_colptr[r + 1] {
-                        w[self.l_rowind[lp]] -= self.l_values[lp] * xr;
+                    let (lo, hi) = (self.l_colptr[r], self.l_colptr[r + 1]);
+                    for (&i, &l) in self.l_rowind[lo..hi].iter().zip(&self.l_values[lo..hi]) {
+                        w[i] -= l * xr;
                     }
                 }
             }

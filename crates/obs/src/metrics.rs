@@ -132,8 +132,10 @@ pub mod counters {
     pub static LU_REFACTORIZATIONS: Counter = Counter::new("solve.lu_refactorizations");
     /// Newton iterations served by a stale LU (modified Newton).
     pub static LU_REUSES: Counter = Counter::new("solve.lu_reuses");
-    /// Full nonlinear-device model evaluations.
+    /// Nonlinear-device model evaluations at Newton iterates.
     pub static DEVICE_EVALS: Counter = Counter::new("solve.device_evals");
+    /// Deferred device-model evaluations at committed steps' voltages.
+    pub static DEVICE_DEFERRED_EVALS: Counter = Counter::new("solve.device_deferred_evals");
     /// Device evaluations answered from the terminal-voltage bypass.
     pub static DEVICE_BYPASSES: Counter = Counter::new("solve.device_bypasses");
     /// Completed transient analyses.
@@ -241,7 +243,7 @@ pub mod gauges {
 }
 
 /// Every registered counter, in render order.
-static ALL_COUNTERS: [&Counter; 40] = [
+static ALL_COUNTERS: [&Counter; 41] = [
     &counters::ACCEPTED_STEPS,
     &counters::REJECTED_LTE,
     &counters::REJECTED_NEWTON,
@@ -250,6 +252,7 @@ static ALL_COUNTERS: [&Counter; 40] = [
     &counters::LU_REFACTORIZATIONS,
     &counters::LU_REUSES,
     &counters::DEVICE_EVALS,
+    &counters::DEVICE_DEFERRED_EVALS,
     &counters::DEVICE_BYPASSES,
     &counters::TRANSIENT_RUNS,
     &counters::DC_SOLVES,
