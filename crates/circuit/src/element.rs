@@ -192,8 +192,7 @@ pub enum Element {
         smooth: f64,
     },
     /// Linear inductor between `a` and `b` (adds one MNA branch-current
-    /// unknown; a short at DC, backward-Euler companion in transient,
-    /// `jωL` in AC).
+    /// unknown; a short at DC, backward-Euler companion in transient).
     Inductor {
         /// Instance name.
         name: String,

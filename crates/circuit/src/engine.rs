@@ -15,32 +15,14 @@ use crate::element::{DeviceStamp, Element};
 use crate::fault::FaultKind;
 use crate::node::NodeId;
 
-/// Implicit integration scheme for the transient companion models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IntegrationMethod {
-    /// First-order, L-stable; damps numerical ringing on switching
-    /// circuits. The default.
-    #[default]
-    BackwardEuler,
-    /// Second-order, A-stable; more accurate on smooth waveforms but can
-    /// ring on discontinuities. Applied to linear capacitors (device
-    /// charge models always integrate with backward Euler).
-    Trapezoidal,
-}
-
-/// Companion-model state for transient integration.
+/// Companion-model state for backward-Euler transient integration.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Integration {
-    /// Integration scheme for linear capacitors.
-    pub method: IntegrationMethod,
     /// Current step size.
     pub dt: f64,
     /// Previous accepted voltage across each linear capacitor (element
     /// order, capacitors only).
     pub cap_v_prev: Vec<f64>,
-    /// Previous accepted current through each linear capacitor
-    /// (trapezoidal history; zero at the DC starting point).
-    pub cap_i_prev: Vec<f64>,
     /// Previous accepted terminal charges of each nonlinear device
     /// (element order, nonlinear devices only).
     pub dev_q_prev: Vec<Vec<f64>>,
@@ -221,7 +203,7 @@ pub(crate) fn jacobian_pattern(circuit: &mut Circuit) -> SparsePattern {
     let dim = circuit.unknown_count();
     let mut sys = MnaSystem::new(circuit, MnaContext::dc());
     let x = vec![0.0; dim];
-    sys.init_integration(&x, IntegrationMethod::BackwardEuler);
+    sys.init_integration(&x);
     if let Some(integ) = &mut sys.ctx.integ {
         integ.dt = 1.0;
     }
@@ -313,7 +295,7 @@ impl<'a> MnaSystem<'a> {
     /// Initialises integration state from a converged solution `x` at the
     /// start of a transient run. Like [`accept_step`](Self::accept_step),
     /// it evaluates only device charges and leaves each stamp pending.
-    pub(crate) fn init_integration(&mut self, x: &[f64], method: IntegrationMethod) {
+    pub(crate) fn init_integration(&mut self, x: &[f64]) {
         let mut cap_v_prev = Vec::new();
         let mut dev_q_prev = Vec::new();
         let mut dev_ord = 0usize;
@@ -336,7 +318,6 @@ impl<'a> MnaSystem<'a> {
                 _ => {}
             }
         }
-        let n_caps = cap_v_prev.len();
         // Inductor currents: take their DC branch solution as history.
         let mut ind_i_prev = Vec::new();
         for (eidx, e) in self.circuit.elements.iter().enumerate() {
@@ -346,10 +327,8 @@ impl<'a> MnaSystem<'a> {
             }
         }
         self.ctx.integ = Some(Integration {
-            method,
             dt: 0.0,
             cap_v_prev,
-            cap_i_prev: vec![0.0; n_caps],
             dev_q_prev,
             ind_i_prev,
         });
@@ -374,16 +353,8 @@ impl<'a> MnaSystem<'a> {
                     integ.ind_i_prev[ind_ord] = x[br];
                     ind_ord += 1;
                 }
-                Element::Capacitor { a, b, farads, .. } => {
-                    let v_new = volt(x, *a) - volt(x, *b);
-                    let v_prev = integ.cap_v_prev[cap_ord];
-                    integ.cap_i_prev[cap_ord] = match integ.method {
-                        IntegrationMethod::BackwardEuler => *farads / dt * (v_new - v_prev),
-                        IntegrationMethod::Trapezoidal => {
-                            2.0 * *farads / dt * (v_new - v_prev) - integ.cap_i_prev[cap_ord]
-                        }
-                    };
-                    integ.cap_v_prev[cap_ord] = v_new;
+                Element::Capacitor { a, b, .. } => {
+                    integ.cap_v_prev[cap_ord] = volt(x, *a) - volt(x, *b);
                     cap_ord += 1;
                 }
                 Element::Nonlinear(dev) => {
@@ -510,16 +481,10 @@ impl MnaSystem<'_> {
                 }
                 Element::Capacitor { a, b, farads, .. } => {
                     if let Some(integ) = &self.ctx.integ {
-                        // Companion model: BE  i = (C/dt)·(v − v_prev);
-                        // trapezoidal  i = (2C/dt)·(v − v_prev) − i_prev.
+                        // Backward-Euler companion: i = (C/dt)·(v − v_prev).
                         let vab = volt(x, *a) - volt(x, *b);
-                        let (geq, hist) = match integ.method {
-                            IntegrationMethod::BackwardEuler => (farads / integ.dt, 0.0),
-                            IntegrationMethod::Trapezoidal => {
-                                (2.0 * farads / integ.dt, integ.cap_i_prev[cap_ord])
-                            }
-                        };
-                        let ieq = geq * (vab - integ.cap_v_prev[cap_ord]) - hist;
+                        let geq = farads / integ.dt;
+                        let ieq = geq * (vab - integ.cap_v_prev[cap_ord]);
                         add_current(residual, *a, ieq);
                         add_current(residual, *b, -ieq);
                         stamp_g_only(jacobian, *a, *b, geq);

@@ -29,7 +29,7 @@ pub enum CircuitError {
         detail: String,
     },
     /// A transient step failed to converge at the minimum step size, even
-    /// after the rescue ladder (damped retry, gmin ramp, method fallback).
+    /// after the rescue ladder (damped retry, then gmin ramp).
     TransientNonConvergence {
         /// Simulation time at which the failure occurred.
         time: f64,

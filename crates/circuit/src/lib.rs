@@ -39,7 +39,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod ac;
 /// Cooperative cancellation tokens (re-exported from `nvpg-numeric` so the
 /// analysis drivers and their callers share one token type). Install with
 /// [`cancel::with_token`]; the Newton loop, the transient step loop, the DC
@@ -49,7 +48,6 @@ pub mod circuit;
 pub mod dc;
 pub mod element;
 mod engine;
-pub use engine::IntegrationMethod;
 pub mod error;
 pub mod fault;
 pub mod node;
@@ -61,10 +59,8 @@ pub mod solver;
 pub mod steptel;
 pub mod trace;
 pub mod transient;
-pub mod vcd;
 pub mod waveform;
 
-pub use ac::{ac_sweep, AcSweep};
 pub use cancel::CancelToken;
 pub use circuit::Circuit;
 pub use element::{DeviceStamp, NonlinearDevice};

@@ -2,10 +2,10 @@
 //!
 //! The DC and transient drivers no longer fail on the first
 //! non-convergent Newton solve: they escalate through a ladder of rescue
-//! rungs (step shrinking, damped/backtracking Newton, a gmin ramp, and an
-//! integration-method fallback) before giving up. [`RescueStats`] counts
-//! every rung taken so sweeps and reports can distinguish a clean point
-//! from one that survived on the last rung.
+//! rungs (step shrinking, damped/backtracking Newton, then a gmin ramp)
+//! before giving up. [`RescueStats`] counts every rung taken so sweeps
+//! and reports can distinguish a clean point from one that survived on
+//! the last rung.
 
 use std::fmt;
 use std::ops::AddAssign;
@@ -22,8 +22,6 @@ pub struct RescueStats {
     pub damped_retries: u32,
     /// Solves rescued by ramping an extra gmin down to zero.
     pub gmin_ramps: u32,
-    /// Transient runs that fell back from trapezoidal to backward Euler.
-    pub method_fallbacks: u32,
     /// Steps/operating points that only converged via a rescue rung.
     pub rescued_solves: u32,
     /// Faults injected by an active [`crate::fault::FaultPlan`].
@@ -39,7 +37,7 @@ impl RescueStats {
     /// Total rescue attempts across all rungs (excluding injected-fault
     /// bookkeeping).
     pub fn attempts(&self) -> u32 {
-        self.rejected_steps + self.damped_retries + self.gmin_ramps + self.method_fallbacks
+        self.rejected_steps + self.damped_retries + self.gmin_ramps
     }
 
     /// Adds this analysis' rescue telemetry into the global `nvpg-obs`
@@ -51,7 +49,6 @@ impl RescueStats {
         counters::RESCUE_REJECTED_STEPS.add(self.rejected_steps.into());
         counters::RESCUE_DAMPED_RETRIES.add(self.damped_retries.into());
         counters::RESCUE_GMIN_RAMPS.add(self.gmin_ramps.into());
-        counters::RESCUE_METHOD_FALLBACKS.add(self.method_fallbacks.into());
         counters::RESCUE_RESCUED_SOLVES.add(self.rescued_solves.into());
         counters::RESCUE_INJECTED_FAULTS.add(self.injected_faults.into());
     }
@@ -62,7 +59,6 @@ impl AddAssign for RescueStats {
         self.rejected_steps += rhs.rejected_steps;
         self.damped_retries += rhs.damped_retries;
         self.gmin_ramps += rhs.gmin_ramps;
-        self.method_fallbacks += rhs.method_fallbacks;
         self.rescued_solves += rhs.rescued_solves;
         self.injected_faults += rhs.injected_faults;
     }
@@ -78,7 +74,6 @@ impl fmt::Display for RescueStats {
             (self.rejected_steps, "rejected-step"),
             (self.damped_retries, "damped-retry"),
             (self.gmin_ramps, "gmin-ramp"),
-            (self.method_fallbacks, "method-fallback"),
             (self.rescued_solves, "rescued"),
             (self.injected_faults, "injected-fault"),
         ] {

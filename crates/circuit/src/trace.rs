@@ -265,7 +265,11 @@ impl Trace {
                 } else {
                     (level - y0) / (y1 - y0)
                 };
-                return Ok(Some(self.t[k - 1] + f * (self.t[k] - self.t[k - 1])));
+                let tc = self.t[k - 1] + f * (self.t[k] - self.t[k - 1]);
+                // A segment that straddles `after` may cross before it.
+                if tc >= after {
+                    return Ok(Some(tc));
+                }
             }
         }
         Ok(None)
@@ -365,6 +369,9 @@ mod tests {
         }
         let t = tri.crossing("y", 0.5, true, 1.5).unwrap().unwrap();
         assert!((t - 2.5).abs() < 1e-12);
+        // A crossing inside the segment that straddles `after`, but before
+        // it, is not reported.
+        assert_eq!(tr.crossing("y", 0.05, true, 0.08).unwrap(), None);
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! step, then escalate through the rescue ladder), and every step still
 //! lands exactly on waveform breakpoints so nanosecond store pulses are
 //! never stepped over. Backward Euler is unconditionally stable and damps
-//! the parasitic ringing that trapezoidal integration exhibits on
-//! switching circuits; under trapezoidal integration the same (BE-form)
-//! error estimate is used, which is conservative for the smoother method.
+//! the parasitic ringing that second-order methods exhibit on switching
+//! circuits.
 
 use nvpg_numeric::cancel;
 use nvpg_numeric::newton::{NewtonOptions, NewtonOutcome};
@@ -24,7 +23,7 @@ use nvpg_numeric::newton::{NewtonOptions, NewtonOutcome};
 use crate::circuit::Circuit;
 use crate::dc::solve_with_faults;
 use crate::element::Element;
-use crate::engine::{IntegrationMethod, MnaContext, MnaSystem};
+use crate::engine::{MnaContext, MnaSystem};
 use crate::error::CircuitError;
 use crate::node::NodeId;
 use crate::rescue::RescueStats;
@@ -46,8 +45,6 @@ pub struct TransientOptions {
     pub dt_init: f64,
     /// Newton settings for each implicit step.
     pub newton: NewtonOptions,
-    /// Implicit integration scheme for linear capacitors.
-    pub method: IntegrationMethod,
     /// Hard cap on attempted steps (accepted + rejected): a runaway run
     /// fails with [`CircuitError::StepBudgetExhausted`] instead of looping
     /// forever at `dt_min`.
@@ -92,7 +89,6 @@ impl Default for TransientOptions {
                 reuse_jacobian: true,
                 ..NewtonOptions::default()
             },
-            method: IntegrationMethod::BackwardEuler,
             max_steps: 10_000_000,
             lte_control: true,
             lte_reltol: 1e-3,
@@ -279,9 +275,9 @@ pub struct TransientResult {
     /// Newton solves attempted (accepted + rejected steps).
     pub newton_solves: u64,
     /// Rescue-ladder telemetry: step rejections, damped retries, gmin
-    /// ramps, method fallbacks, injected faults. All zero for a clean run
-    /// (LTE rejections are routine step control, not rescue events, and
-    /// are counted in [`steps`](TransientResult::steps) instead).
+    /// ramps, injected faults. All zero for a clean run (LTE rejections
+    /// are routine step control, not rescue events, and are counted in
+    /// [`steps`](TransientResult::steps) instead).
     pub rescue: RescueStats,
     /// Step-control and solver-reuse telemetry.
     pub steps: StepStats,
@@ -306,8 +302,7 @@ pub struct TransientResult {
 /// out, and [`CircuitError::TransientNonConvergence`] (or
 /// [`CircuitError::NonFiniteSolution`] / [`CircuitError::SingularMatrix`])
 /// if a step fails to converge at `dt_min` even after the rescue ladder:
-/// a damped/backtracking Newton retry, a gmin ramp, and — for trapezoidal
-/// runs — a fallback to backward Euler.
+/// a damped/backtracking Newton retry, then a gmin ramp.
 ///
 /// # Panics
 ///
@@ -331,8 +326,7 @@ pub fn transient(
     let mut sys = MnaSystem::new(circuit, MnaContext::dc());
     sys.set_bypass_tol(opts.device_bypass_tol);
     let mut x = initial.as_slice().to_vec();
-    let mut method = opts.method;
-    sys.init_integration(&x, method);
+    sys.init_integration(&x);
 
     // Per-step scratch, allocated once: the Newton trial vector, the
     // LTE controller's solution history, and the recorder's sample row.
@@ -488,20 +482,6 @@ pub fn transient(
                 if ramped {
                     outcome = solve_with_faults(&mut solver, &mut sys, &mut x_try, &mut rescue);
                 }
-            }
-
-            // Rung 3: integration-method fallback. Trapezoidal rings on
-            // hard discontinuities; restart the companion history with
-            // L-stable backward Euler and retry.
-            if !outcome.is_converged() && method == IntegrationMethod::Trapezoidal {
-                rescue.method_fallbacks += 1;
-                method = IntegrationMethod::BackwardEuler;
-                sys.init_integration(&x, method);
-                if let Some(integ) = &mut sys.ctx.integ {
-                    integ.dt = step;
-                }
-                x_try.copy_from_slice(&x);
-                outcome = solve_with_faults(&mut solver, &mut sys, &mut x_try, &mut rescue);
             }
 
             solver.set_options(opts.newton);
@@ -958,51 +938,6 @@ mod tests {
         // dV/dt = I/C = 1e6 V/s → 1 mV at 1 ns.
         let v = tr.value_at("v(n)", 1e-9).unwrap();
         assert!((v - 1e-3).abs() < 5e-5, "v = {v}");
-    }
-
-    /// Trapezoidal integration is second-order: at the same (coarse) step
-    /// it tracks the RC charging curve much more accurately than backward
-    /// Euler, and both agree with theory when the step is fine.
-    #[test]
-    fn trapezoidal_beats_backward_euler_at_coarse_steps() {
-        let run = |method: IntegrationMethod, dt_max: f64| {
-            let mut ckt = Circuit::new();
-            let vin = ckt.node("vin");
-            let out = ckt.node("out");
-            ckt.vsource(
-                "v1",
-                vin,
-                Circuit::GROUND,
-                Waveform::Pwl(vec![(0.0, 0.0), (1e-12, 1.0)]),
-            )
-            .unwrap();
-            ckt.resistor("r1", vin, out, 1e3).unwrap();
-            ckt.capacitor("c1", out, Circuit::GROUND, 1e-12).unwrap();
-            let op = operating_point(&mut ckt, &DcOptions::default()).unwrap();
-            let opts = TransientOptions {
-                t_stop: 2e-9,
-                dt_max,
-                dt_init: dt_max,
-                method,
-                // Fixed-step accuracy comparison: the LTE controller
-                // would shrink the coarse steps and defeat the point.
-                lte_control: false,
-                ..TransientOptions::default()
-            };
-            let tr = transient(&mut ckt, &opts, &op).unwrap().trace;
-            // Error against 1 - e^{-t/RC} sampled at RC.
-            (tr.value_at("v(out)", 1e-9).unwrap() - (1.0 - (-1.0_f64).exp())).abs()
-        };
-        let coarse = 100e-12; // RC/10
-        let be_err = run(IntegrationMethod::BackwardEuler, coarse);
-        let trap_err = run(IntegrationMethod::Trapezoidal, coarse);
-        assert!(
-            trap_err < 0.3 * be_err,
-            "trap {trap_err:e} vs BE {be_err:e} at dt = RC/10"
-        );
-        // Both converge when refined.
-        assert!(run(IntegrationMethod::BackwardEuler, 2e-12) < 2e-3);
-        assert!(run(IntegrationMethod::Trapezoidal, 2e-12) < 2e-3);
     }
 
     /// RL step response: i(t) = (V/R)·(1 − e^{−t·R/L}).

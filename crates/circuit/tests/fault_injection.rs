@@ -12,7 +12,7 @@ use nvpg_circuit::dc::{operating_point, operating_point_report, DcOptions};
 use nvpg_circuit::transient::{transient, TransientOptions};
 use nvpg_circuit::{
     with_fault_plan, with_fault_plan_logged, Circuit, CircuitError, FaultKind, FaultPlan,
-    IntegrationMethod, SolverChoice, Waveform,
+    SolverChoice, Waveform,
 };
 use nvpg_numeric::newton::NewtonOptions;
 
@@ -421,24 +421,6 @@ fn gmin_ramp_rescues_transient_at_floor() {
     assert_eq!(res.rescue.damped_retries, 1);
     assert_eq!(res.rescue.gmin_ramps, 1);
     assert_eq!(res.rescue.rescued_solves, 1);
-}
-
-#[test]
-fn method_fallback_rescues_trapezoidal_at_floor() {
-    let mut ckt = rc_circuit();
-    let init = operating_point(&mut ckt, &DcOptions::default()).unwrap();
-    let opts = TransientOptions {
-        method: IntegrationMethod::Trapezoidal,
-        ..pinned_opts()
-    };
-    // Kill the solve, the damped retry, and the first gmin-ramp solve:
-    // the trapezoidal→backward-Euler fallback is the last rung standing.
-    let plan = FaultPlan::at_solves(FaultKind::RejectStep, &[5, 6, 7]);
-    let res = with_fault_plan(&plan, || transient(&mut ckt, &opts, &init)).unwrap();
-    assert_eq!(res.rescue.method_fallbacks, 1);
-    assert_eq!(res.rescue.rescued_solves, 1);
-    let v = final_out_voltage(&res, &ckt);
-    assert!((v - (1.0 - (-5.0f64).exp())).abs() < 2e-2, "{v}");
 }
 
 // ---------------------------------------------------------------------

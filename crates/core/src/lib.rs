@@ -61,7 +61,6 @@ pub mod sequence;
 pub mod thermal;
 pub mod validate;
 pub mod variation;
-pub mod workload;
 
 pub use arch::Architecture;
 pub use batch::solve_domain_designs;
@@ -90,4 +89,3 @@ pub use variation::{
     run_domain_variation, run_variation, run_variation_report, DomainSample,
     DomainVariationOutcome, VariationOutcome, VariationSpec,
 };
-pub use workload::{simulate_trace, GatingPolicy, TraceOutcome, Workload, WorkloadEvent};

@@ -17,6 +17,29 @@ fn nfet() -> FinFet {
     )
 }
 
+/// Every circuit device model: NMOS and PMOS FinFETs with `fins` fins,
+/// the MTJ and the FeFET in both states. Their nodes are all ground: the
+/// properties call the models directly.
+fn circuit_devices(fins: u32) -> Vec<Box<dyn NonlinearDevice>> {
+    let g = NodeId::GROUND;
+    let mut devices: Vec<Box<dyn NonlinearDevice>> = Vec::new();
+    for params in [FinFetParams::nmos_20nm(), FinFetParams::pmos_20nm()] {
+        devices.push(Box::new(FinFet::new("m", g, g, g, params.with_fins(fins))));
+    }
+    for state in [MtjState::Parallel, MtjState::AntiParallel] {
+        devices.push(Box::new(Mtj::new("x", g, g, MtjParams::table1(), state)));
+    }
+    for state in [RetentionState::LowR, RetentionState::HighR] {
+        devices.push(Box::new(Fefet::new("f", g, g, FefetParams::demo(), state)));
+    }
+    devices
+}
+
+/// Largest |entry| of a stamp matrix.
+fn max_abs(m: &[Vec<f64>]) -> f64 {
+    m.iter().flatten().fold(0.0, |acc, x| acc.max(x.abs()))
+}
+
 proptest! {
     /// Terminal currents always satisfy KCL (sum to zero) and the
     /// conductance rows of drain and source are exact negatives.
@@ -83,19 +106,8 @@ proptest! {
         vc in -1.0f64..1.0,
         fins in 1u32..5,
     ) {
-        let g = NodeId::GROUND;
-        let mut devices: Vec<Box<dyn NonlinearDevice>> = Vec::new();
-        for params in [FinFetParams::nmos_20nm(), FinFetParams::pmos_20nm()] {
-            devices.push(Box::new(FinFet::new("m", g, g, g, params.with_fins(fins))));
-        }
-        for state in [MtjState::Parallel, MtjState::AntiParallel] {
-            devices.push(Box::new(Mtj::new("x", g, g, MtjParams::table1(), state)));
-        }
-        for state in [RetentionState::LowR, RetentionState::HighR] {
-            devices.push(Box::new(Fefet::new("f", g, g, FefetParams::demo(), state)));
-        }
         let bits = |x: &[f64]| x.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        for dev in &devices {
+        for dev in &circuit_devices(fins) {
             let v = &[va, vb, vc][..dev.nodes().len()];
             let mut stamp = DeviceStamp::new(v.len());
             dev.load(v, &mut stamp);
@@ -103,6 +115,58 @@ proptest! {
             let mut q = vec![f64::NAN; v.len()];
             dev.charge(v, &mut q);
             prop_assert_eq!(bits(&q), bits(&stamp.charge), "{:?} at {:?}", dev, v);
+        }
+    }
+
+    /// Every stamp is the Jacobian of its own current and charge, for
+    /// every circuit device model: each `conductance[t][u]` equals the
+    /// central difference of `current[t]` in `v[u]` within 1e-5 of the
+    /// stamp's largest |G|, and each `capacitance[t][u]` that of
+    /// `charge[t]` within 1e-9 of its largest |C|. A FinFET's drain and
+    /// source stay ≥ 10 mV apart: DIBL and CLM see |v_ds|, so their
+    /// exchange is a kink no difference quotient straddles.
+    #[test]
+    fn stamp_is_the_jacobian_of_current_and_charge(
+        vd in -1.0f64..1.0,
+        vg in -1.0f64..1.0,
+        vds in 0.01f64..1.0,
+        reversed in 0u32..2,
+        fins in 1u32..5,
+    ) {
+        const H: f64 = 1e-4;
+        let vs = if reversed == 1 { vd + vds } else { vd - vds };
+        for dev in &circuit_devices(fins) {
+            let v = &[vd, vg, vs][..dev.nodes().len()];
+            let n = v.len();
+            let mut stamp = DeviceStamp::new(n);
+            dev.load(v, &mut stamp);
+            let g_tol = 1e-5 * max_abs(&stamp.conductance);
+            let c_tol = 1e-9 * max_abs(&stamp.capacitance);
+            for u in 0..n {
+                let (mut lo, mut hi) = (v.to_vec(), v.to_vec());
+                lo[u] -= H;
+                hi[u] += H;
+                let (mut s_lo, mut s_hi) = (DeviceStamp::new(n), DeviceStamp::new(n));
+                dev.load(&lo, &mut s_lo);
+                dev.load(&hi, &mut s_hi);
+                let (mut q_lo, mut q_hi) = (vec![0.0; n], vec![0.0; n]);
+                dev.charge(&lo, &mut q_lo);
+                dev.charge(&hi, &mut q_hi);
+                for t in 0..n {
+                    let g = (s_hi.current[t] - s_lo.current[t]) / (2.0 * H);
+                    let c = (q_hi[t] - q_lo[t]) / (2.0 * H);
+                    prop_assert!(
+                        (g - stamp.conductance[t][u]).abs() <= g_tol,
+                        "{dev:?} at {v:?}: G[{t}][{u}] = {:e}, difference quotient {g:e}",
+                        stamp.conductance[t][u]
+                    );
+                    prop_assert!(
+                        (c - stamp.capacitance[t][u]).abs() <= c_tol,
+                        "{dev:?} at {v:?}: C[{t}][{u}] = {:e}, difference quotient {c:e}",
+                        stamp.capacitance[t][u]
+                    );
+                }
+            }
         }
     }
 

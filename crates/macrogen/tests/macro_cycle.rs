@@ -14,6 +14,13 @@ use nvpg_numeric::Rng64;
 /// stamping and deferred post-step stamps must leave every answer bit
 /// where it was; one that moves a bit fails here. The sparse path runs
 /// no SIMD kernel, so the pin also holds under `NVPG_SIMD=scalar`.
+///
+/// Re-recording rule: a change that moves these bits on purpose (a new
+/// device Jacobian, a different step policy) must first pass the
+/// transient accuracy reference gate (ROADMAP item 1: this cycle under a
+/// tight LTE and step policy), then re-record every value below in the
+/// same change, and CHANGES.md must list each old → new value with the
+/// reason. Never re-record to make an unexplained move pass.
 #[test]
 fn four_square_macro_cycle_is_bit_exact() {
     let spec = MacroSpec::new(4, 4, 2).with_granularity(Granularity::PerBank(2));

@@ -39,7 +39,6 @@
 //! ```
 
 pub mod cancel;
-pub mod complex;
 pub mod matrix;
 pub mod newton;
 pub mod ode;
@@ -49,7 +48,6 @@ pub mod simd;
 pub mod sparse;
 
 pub use cancel::CancelToken;
-pub use complex::{ComplexMatrix, C64};
 pub use matrix::{DenseMatrix, LuFactors, LuWorkspace, SingularMatrixError};
 pub use newton::{
     InvalidOptionsError, LinearSolver, NewtonOptions, NewtonOutcome, NewtonSolver, NonlinearSystem,

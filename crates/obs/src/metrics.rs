@@ -149,8 +149,6 @@ pub mod counters {
     pub static RESCUE_DAMPED_RETRIES: Counter = Counter::new("rescue.damped_retries");
     /// Gmin-ramp rescues attempted.
     pub static RESCUE_GMIN_RAMPS: Counter = Counter::new("rescue.gmin_ramps");
-    /// Trapezoidal → backward-Euler fallbacks.
-    pub static RESCUE_METHOD_FALLBACKS: Counter = Counter::new("rescue.method_fallbacks");
     /// Solves that only converged via a rescue rung.
     pub static RESCUE_RESCUED_SOLVES: Counter = Counter::new("rescue.rescued_solves");
     /// Faults injected by an active fault plan.
@@ -243,7 +241,7 @@ pub mod gauges {
 }
 
 /// Every registered counter, in render order.
-static ALL_COUNTERS: [&Counter; 41] = [
+static ALL_COUNTERS: [&Counter; 40] = [
     &counters::ACCEPTED_STEPS,
     &counters::REJECTED_LTE,
     &counters::REJECTED_NEWTON,
@@ -259,7 +257,6 @@ static ALL_COUNTERS: [&Counter; 41] = [
     &counters::RESCUE_REJECTED_STEPS,
     &counters::RESCUE_DAMPED_RETRIES,
     &counters::RESCUE_GMIN_RAMPS,
-    &counters::RESCUE_METHOD_FALLBACKS,
     &counters::RESCUE_RESCUED_SOLVES,
     &counters::RESCUE_INJECTED_FAULTS,
     &counters::ALLOC_BYTES,

@@ -15,8 +15,6 @@
 //! volatile baseline.
 
 use nvpg::cells::design::CellDesign;
-use nvpg::core::policy::IdleDistribution;
-use nvpg::core::workload::{simulate_trace, GatingPolicy, Workload};
 use nvpg::core::{Architecture, BenchmarkParams, Experiments, PowerDomain};
 use nvpg::units::{format_eng, logspace};
 
@@ -98,41 +96,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nthe paper's conclusion in one line: even where NOF wins against OSR,\n\
          NVPG wins harder — NOF's only niche is tolerating *unannounced* power loss."
     );
-
-    // Trace-driven check: replay a sampled sensor-style workload (heavy-
-    // tailed idles) under the runtime gating policies.
-    println!("\ntrace replay: 500 bursts, Pareto(1.5) idles, x_min = 50 µs\n");
-    let params = BenchmarkParams {
-        n_rw,
-        t_sl: 0.0,
-        t_sd: 0.0,
-        domain,
-        reads_per_write: 1,
-        store_free: false,
-    };
-    let workload = Workload::synthetic(
-        7,
-        500,
-        10.0,
-        IdleDistribution::Pareto {
-            alpha: 1.5,
-            x_min: 50e-6,
-        },
-    );
-    let pm = nvpg::core::policy::PolicyModel::from_energy_model(exp.model(), &params);
-    for (label, policy) in [
-        ("never gate (OSR)", GatingPolicy::NeverGate),
-        ("always gate (NOF-like)", GatingPolicy::AlwaysGate),
-        ("timeout = BET", GatingPolicy::Timeout(pm.break_even())),
-        ("oracle (lower bound)", GatingPolicy::Oracle),
-    ] {
-        let out = simulate_trace(exp.model(), &params, policy, &workload);
-        println!(
-            "   {label:<24} E = {:>10}  avg P = {:>10}  gates = {}",
-            format_eng(out.energy, "J"),
-            format_eng(out.avg_power, "W"),
-            out.gates
-        );
-    }
     Ok(())
 }

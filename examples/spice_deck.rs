@@ -1,4 +1,4 @@
-//! SPICE-deck workflow: parse → DC → transient → AC → SVG.
+//! SPICE-deck workflow: parse → DC → transient → SVG.
 //!
 //! ```text
 //! cargo run --release --example spice_deck [out.svg]
@@ -7,12 +7,11 @@
 //! Demonstrates the simulator as a standalone tool, independent of the
 //! NV-SRAM study: a two-stage RC filter written as a SPICE deck with a
 //! subcircuit, solved for its operating point, stepped through a pulse
-//! transient, swept in AC, and rendered to an SVG Bode plot.
+//! transient, and rendered to an SVG plot of its node voltages.
 
 use nvpg::circuit::parser::parse_deck;
-use nvpg::circuit::vcd::to_vcd;
-use nvpg::circuit::{ac::ac_sweep, dc, transient, TransientOptions};
-use nvpg::units::{format_eng, logspace};
+use nvpg::circuit::{dc, transient, TransientOptions};
+use nvpg::units::format_eng;
 use nvpg_bench::svg::render_svg;
 use nvpg_core::{Figure, Series};
 
@@ -48,40 +47,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Transient: the pulse charges both stages.
     let tr = transient::transient(&mut ckt, &TransientOptions::to(120e-9), &op)?.trace;
-    let t90 = tr.crossing("v(out)", 0.9, true, 0.0)?;
-    match t90 {
-        Some(t) => println!("transient: v(out) reaches 0.9 V at {}", format_eng(t, "s")),
-        None => println!("transient: v(out) did not reach 0.9 V in the window"),
-    }
-    // Waveforms for GTKWave/Surfer.
-    std::fs::write("/tmp/spice_deck.vcd", to_vcd(&tr, "spice_deck"))?;
-    println!("wrote /tmp/spice_deck.vcd ({} samples)", tr.len());
-
-    // AC: Bode magnitude of the two-pole response.
-    let op0 = dc::operating_point(&mut ckt, &Default::default())?;
-    let freqs = logspace(1e5, 1e9, 61);
-    let sweep = ac_sweep(&mut ckt, &op0, "v1", &freqs)?;
-    let mag = sweep.magnitude("out")?;
-    let fc = mag
-        .iter()
-        .find(|&&(_, m)| m < std::f64::consts::FRAC_1_SQRT_2)
-        .map(|&(f, _)| f);
-    if let Some(fc) = fc {
-        println!("ac: -3 dB at ≈ {}", format_eng(fc, "Hz"));
+    println!("transient: {} samples", tr.len());
+    for node in ["v(mid)", "v(out)"] {
+        match tr.crossing(node, 0.9, true, 0.0)? {
+            Some(t) => println!("  {node} reaches 0.9 V at {}", format_eng(t, "s")),
+            None => println!("  {node} did not reach 0.9 V in the window"),
+        }
     }
 
     if let Some(path) = svg_path {
+        let series = |node: &str| -> Result<Series, Box<dyn std::error::Error>> {
+            let points = tr
+                .time()
+                .iter()
+                .copied()
+                .zip(tr.signal(node)?.iter().copied());
+            Ok(Series::new(node, points.collect()))
+        };
         let fig = Figure {
             id: "spice_deck".into(),
-            caption: "two-stage RC filter Bode magnitude".into(),
-            x_label: "f (Hz)".into(),
-            y_label: "|v(out)/v(in)|".into(),
-            log_x: true,
-            log_y: true,
-            series: vec![
-                Series::new("|H(f)| stage 2", mag),
-                Series::new("|H(f)| stage 1", sweep.magnitude("mid")?),
-            ],
+            caption: "two-stage RC filter pulse response".into(),
+            x_label: "t (s)".into(),
+            y_label: "v (V)".into(),
+            log_x: false,
+            log_y: false,
+            series: vec![series("v(vin)")?, series("v(mid)")?, series("v(out)")?],
         };
         std::fs::write(&path, render_svg(&fig))?;
         println!("wrote {path}");

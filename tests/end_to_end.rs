@@ -142,51 +142,3 @@ fn sequence_energy_ordering_matches_fig6() {
         osr.energy
     );
 }
-
-/// AC small-signal cross-check with a real device: a common-source
-/// FinFET amplifier shows low-frequency voltage gain ≈ gm·R_load and a
-/// single-pole roll-off from the load capacitance.
-#[test]
-fn finfet_common_source_ac_gain() {
-    use nvpg::circuit::{ac::ac_sweep, dc, Circuit};
-    use nvpg::devices::finfet::{FinFet, FinFetParams};
-
-    let mut ckt = Circuit::new();
-    let vdd = ckt.node("vdd");
-    let vin = ckt.node("vin");
-    let out = ckt.node("out");
-    ckt.vsource("vs", vdd, Circuit::GROUND, 0.9).unwrap();
-    // Bias the gate near the high-gm region.
-    ckt.vsource("vg", vin, Circuit::GROUND, 0.45).unwrap();
-    ckt.resistor("rl", vdd, out, 20e3).unwrap();
-    ckt.capacitor("cl", out, Circuit::GROUND, 10e-15).unwrap();
-    ckt.device(Box::new(FinFet::new(
-        "m1",
-        out,
-        vin,
-        Circuit::GROUND,
-        FinFetParams::nmos_20nm(),
-    )))
-    .unwrap();
-
-    let op = dc::operating_point(&mut ckt, &Default::default()).unwrap();
-    // A healthy bias point: output somewhere inside the rails.
-    let vo = op.voltage(out);
-    assert!(vo > 0.05 && vo < 0.85, "bias point v(out) = {vo}");
-
-    let fc_guess = 1.0 / (2.0 * std::f64::consts::PI * 20e3 * 10e-15); // ≈ 800 MHz
-    let sweep = ac_sweep(&mut ckt, &op, "vg", &[1e6, fc_guess * 100.0]).unwrap();
-    let mag = sweep.magnitude("out").unwrap();
-    let low_freq_gain = mag[0].1;
-    assert!(
-        low_freq_gain > 1.0,
-        "common-source gain must exceed unity: {low_freq_gain}"
-    );
-    // Two decades past the output pole the gain has collapsed.
-    assert!(
-        mag[1].1 < 0.05 * low_freq_gain,
-        "roll-off: {} -> {}",
-        low_freq_gain,
-        mag[1].1
-    );
-}
