@@ -92,43 +92,50 @@ impl Axis {
         Some(self.pix_lo + f * (self.pix_hi - self.pix_lo))
     }
 
-    /// Tick values: decades for log axes, ~5 round steps for linear.
+    /// Tick values: decades for log axes, ~5 round steps for linear. A
+    /// linear tick is an integer multiple of the step, so no tick carries
+    /// the rounding of a running sum.
     fn ticks(&self) -> Vec<f64> {
         if self.log {
             let lo = self.min.log10().ceil() as i32;
             let hi = self.max.log10().floor() as i32;
             (lo..=hi).map(|e| 10f64.powi(e)).collect()
         } else {
-            let span = self.max - self.min;
-            let raw = span / 5.0;
-            let mag = 10f64.powf(raw.log10().floor());
-            let step = [1.0, 2.0, 5.0, 10.0]
-                .iter()
-                .map(|m| m * mag)
-                .find(|&s| span / s <= 6.0)
-                .unwrap_or(mag * 10.0);
-            let start = (self.min / step).ceil() * step;
-            let mut out = Vec::new();
-            let mut v = start;
-            while v <= self.max + 1e-12 * step {
-                out.push(v);
-                v += step;
-            }
-            out
+            let (step, _) = self.linear_step();
+            let first = (self.min / step).ceil();
+            (0..)
+                .map(|k| (first + f64::from(k)) * step)
+                .take_while(|&v| v <= self.max + 1e-12 * step)
+                .collect()
         }
     }
-}
 
-fn tick_label(v: f64, unit: Option<&str>) -> String {
-    match unit {
-        Some(u) => format_eng(v, u),
-        None => {
-            if v == 0.0 {
-                "0".to_owned()
-            } else if v.abs() >= 1e4 || v.abs() < 1e-2 {
-                format!("{v:.0e}")
-            } else {
-                format!("{v}")
+    /// The linear tick step, the first of 1, 2, 5 and 10 × 10^e (10^e ≤
+    /// span/5) that cuts the span into at most six intervals, and the
+    /// decimal places it needs.
+    fn linear_step(&self) -> (f64, usize) {
+        let span = self.max - self.min;
+        let e = (span / 5.0).log10().floor();
+        let mag = 10f64.powf(e);
+        let m = [1.0, 2.0, 5.0]
+            .into_iter()
+            .find(|&m| span / (m * mag) <= 6.0)
+            .unwrap_or(10.0);
+        let decimals = if m == 10.0 { -e - 1.0 } else { -e };
+        (m * mag, decimals.max(0.0) as usize)
+    }
+
+    /// A tick's label: engineering notation when the axis has a unit;
+    /// otherwise a linear tick prints at its step's precision.
+    fn tick_label(&self, v: f64, unit: Option<&str>) -> String {
+        match unit {
+            Some(u) => format_eng(v, u),
+            None if v == 0.0 => "0".to_owned(),
+            None if v.abs() >= 1e4 || v.abs() < 1e-2 => format!("{v:.0e}"),
+            None if self.log => format!("{v}"),
+            None => {
+                let (_, decimals) = self.linear_step();
+                format!("{v:.decimals$}")
             }
         }
     }
@@ -225,7 +232,7 @@ pub fn render_svg(fig: &Figure) -> String {
                 out,
                 r##"<text x="{px:.1}" y="{}" text-anchor="middle" fill="#333">{}</text>"##,
                 py0 + 18.0,
-                xml_escape(&tick_label(tx, x_unit))
+                xml_escape(&x_axis.tick_label(tx, x_unit))
             );
         }
     }
@@ -240,7 +247,7 @@ pub fn render_svg(fig: &Figure) -> String {
                 r##"<text x="{}" y="{:.1}" text-anchor="end" fill="#333">{}</text>"##,
                 px0 - 6.0,
                 py + 4.0,
-                xml_escape(&tick_label(ty, y_unit))
+                xml_escape(&y_axis.tick_label(ty, y_unit))
             );
         }
     }
@@ -351,6 +358,18 @@ mod tests {
         };
         let svg = render_svg(&fig);
         assert!(svg.contains(">2<") && svg.contains(">4<"), "{svg}");
+
+        // A 0–1 unitless axis steps by 0.2: 3 × 0.2 is 0.6000000000000001
+        // in binary, so the label must print at the step's precision.
+        let fig = Figure {
+            series: vec![Series::new("s", vec![(0.0, 0.0), (1.0, 1.0)])],
+            ..fig
+        };
+        let svg = render_svg(&fig);
+        for label in [">0<", ">0.2<", ">0.4<", ">0.6<", ">0.8<", ">1.0<"] {
+            assert_eq!(svg.matches(label).count(), 2, "{label} on both axes: {svg}");
+        }
+        assert!(!svg.contains("0000"), "{svg}");
     }
 
     #[test]

@@ -435,6 +435,14 @@ impl CellArray {
         self.engine.reset_step_stats();
     }
 
+    /// Runs every later phase under the transient accuracy reference,
+    /// [`StepPolicy::Reference`], on the array's own backend. It exists to
+    /// gate the production array policy's energies; its phases take ~3×
+    /// the steps.
+    pub fn use_reference_steps(&mut self) {
+        self.engine.use_reference_steps();
+    }
+
     /// The latched data of cell `(row, col)` in the current state.
     ///
     /// # Panics

@@ -37,7 +37,9 @@ pub struct PhaseResult {
 }
 
 /// How the engine steps its transients. The policy is fixed by the
-/// netlist family, not chosen per call.
+/// netlist family, not chosen per call; only an accuracy gate switches an
+/// array to [`StepPolicy::Reference`]
+/// ([`CellArray::use_reference_steps`](crate::array::CellArray::use_reference_steps)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPolicy {
     /// Single cells and flip-flops: the LTE controller owns accuracy, so
@@ -50,13 +52,19 @@ pub enum StepPolicy {
     /// Arrays: at most 200 ps and ≥ 100 samples per phase, on the array's
     /// linear-solver backend.
     Array(SolverChoice),
+    /// The transient accuracy reference for arrays: the array policy's
+    /// backend and device bypass at a tenth of the default LTE tolerances
+    /// (1e-4 relative, 1e-7 V absolute), at most 50 ps and ≥ 100 samples
+    /// per phase. Tests gate the production policy's phase energies
+    /// against it; nothing else runs it.
+    Reference(SolverChoice),
 }
 
 impl StepPolicy {
-    /// The transient options of one phase of `duration` seconds. Both
-    /// policies reuse FinFET/MTJ stamps while no terminal moved more than
+    /// The transient options of one phase of `duration` seconds. Every
+    /// policy reuses FinFET/MTJ stamps while no terminal moved more than
     /// 1 µV (the induced current error is bounded by g·1 µV, orders below
-    /// the femtojoule energies the figures resolve) and keep the LU
+    /// the femtojoule energies the figures resolve) and keeps the LU
     /// across quiescent steps.
     pub fn options(self, duration: f64) -> TransientOptions {
         let common = TransientOptions {
@@ -77,13 +85,20 @@ impl StepPolicy {
                 solver,
                 ..common
             },
+            StepPolicy::Reference(solver) => TransientOptions {
+                dt_max: (duration / 100.0).clamp(1e-12, 50e-12),
+                lte_reltol: 1e-4,
+                lte_abstol: 1e-7,
+                solver,
+                ..common
+            },
         }
     }
 
     fn solver(self) -> SolverChoice {
         match self {
             StepPolicy::Cell => SolverChoice::Auto,
-            StepPolicy::Array(solver) => solver,
+            StepPolicy::Array(solver) | StepPolicy::Reference(solver) => solver,
         }
     }
 }
@@ -144,6 +159,12 @@ impl PhaseEngine {
 
     pub(crate) fn circuit_mut(&mut self) -> &mut Circuit {
         &mut self.ckt
+    }
+
+    /// Runs every later phase under the accuracy reference, on the present
+    /// policy's backend.
+    pub(crate) fn use_reference_steps(&mut self) {
+        self.policy = StepPolicy::Reference(self.policy.solver());
     }
 
     /// The current DC/transient-final state.

@@ -19,9 +19,10 @@
 //!
 //! The model is terminal-symmetric (source/drain swap for negative
 //! `V_DS`) and PMOS devices are handled by mirroring all voltages.
-//! Conductances for the Newton stamp are obtained by central finite
-//! differences of the (cheap) current equation; gate/junction charges use
-//! a constant-capacitance partition, which is sufficient for the
+//! Conductances for the Newton stamp are the closed-form partials of the
+//! current equation, evaluated in the same pass as the current, as SPICE
+//! compact models supply them; gate/junction charges use a
+//! constant-capacitance partition, which is sufficient for the
 //! energy-shape fidelity this study needs.
 
 use nvpg_circuit::{DeviceStamp, NodeId, NonlinearDevice};
@@ -138,19 +139,20 @@ impl FinFetParams {
     }
 }
 
-/// EKV interpolation function `F(u) = ln²(1 + e^{u/2})`, numerically safe
-/// for large |u|.
+/// The EKV interpolation `F(u) = ℓ²` as `(ℓ, σ)`, with
+/// `ℓ = ln(1 + e^{u/2})` and the logistic `σ = σ(u/2)`, numerically safe
+/// for large |u|. Its slopes are `F′(u) = ℓ·σ` and `d√F/du = σ/2`.
 #[inline]
-fn ekv_f(u: f64) -> f64 {
+fn ekv(u: f64) -> (f64, f64) {
     let half = 0.5 * u;
-    let ln1p = if half > 40.0 {
-        half // ln(1+e^x) → x
+    if half > 40.0 {
+        (half, 1.0) // ln(1+e^x) → x
     } else if half < -40.0 {
-        return 0.0; // e^{2·half} underflows anyway
+        (0.0, 0.0) // e^{2·half} underflows anyway
     } else {
-        half.exp().ln_1p()
-    };
-    ln1p * ln1p
+        let e = half.exp();
+        (e.ln_1p(), e / (1.0 + e))
+    }
 }
 
 /// A FinFET instance: three terminals in the order **drain, gate, source**
@@ -193,11 +195,18 @@ impl FinFet {
     /// Drain current `I_D` (flowing drain → channel → source for NMOS with
     /// positive `V_DS`) as a function of absolute terminal voltages.
     ///
-    /// This is the raw model equation; the circuit stamp is derived from
-    /// it by finite differences.
+    /// This is the raw model equation; the circuit stamp carries the same
+    /// current with its closed-form partials.
     pub fn ids(&self, vd: f64, vg: f64, vs: f64) -> f64 {
+        self.eval(vd, vg, vs).0
+    }
+
+    /// `I_D` and its partials `(∂I/∂V_D, ∂I/∂V_G, ∂I/∂V_S)`, from one
+    /// evaluation of the model.
+    fn eval(&self, vd: f64, vg: f64, vs: f64) -> (f64, [f64; 3]) {
         let p = &self.params;
         // PMOS: mirror all voltages, compute as NMOS, negate the current.
+        // I_p(v) = −I_n(−v) leaves the partials' sign unchanged.
         let (vd, vg, vs, sign) = match p.polarity {
             Polarity::Nmos => (vd, vg, vs, 1.0),
             Polarity::Pmos => (-vd, -vg, -vs, -1.0),
@@ -216,18 +225,38 @@ impl FinFet {
         let vp = (vg - vsx - vth) / p.n_factor;
         let u_f = vp / phi_t;
         let u_r = (vp - vds) / phi_t;
-        let (ff, fr) = (ekv_f(u_f), ekv_f(u_r));
+        let ((l_f, s_f), (l_r, s_r)) = (ekv(u_f), ekv(u_r));
+        let (ff, fr) = (l_f * l_f, l_r * l_r);
 
         let i_s = p.i_spec * (p.w_eff() / p.l) * p.n_factor * phi_t * phi_t;
         let i_long = i_s * (ff - fr);
 
         // Velocity saturation: effective overdrive ≈ 2·φt·√F(u_f).
         let v_ov = 2.0 * phi_t * ff.sqrt();
-        let i_vsat = i_long / (1.0 + v_ov / p.v_crit);
+        let den = 1.0 + v_ov / p.v_crit;
+        let i_vsat = i_long / den;
 
         // Channel-length modulation.
-        let i = i_vsat * (1.0 + p.lambda * vds);
-        sign * dir * i
+        let clm = 1.0 + p.lambda * vds;
+        let i = i_vsat * clm;
+
+        // Chain rule through I = I_s·(F(u_f) − F(u_r))/den·clm, with
+        // ∂den/∂u_f = (φt/V_c)·σ_f.
+        let di_duf = clm / den * (i_s * l_f * s_f - i_vsat * phi_t / p.v_crit * s_f);
+        let di_dur = -clm / den * (i_s * l_r * s_r);
+        // u_f and u_r move with v_p = (v_g − v_sx − v_th0 + DIBL·v_ds)/n,
+        // u_r also with −v_ds, and CLM with v_ds.
+        let gm = (di_duf + di_dur) / (p.n_factor * phi_t);
+        let gds = p.dibl * gm - di_dur / phi_t + i_vsat * p.lambda;
+        let gss = -(gm + gds);
+        // Undo the swap: with v_dx = v_s and v_sx = v_d the current is
+        // negated, so (∂/∂v_d, ∂/∂v_g, ∂/∂v_s) = −(∂/∂v_sx, ∂/∂v_g, ∂/∂v_dx).
+        let grad = if dir > 0.0 {
+            [gds, gm, gss]
+        } else {
+            [-gss, -gm, -gds]
+        };
+        (sign * dir * i, grad)
     }
 }
 
@@ -241,17 +270,10 @@ impl NonlinearDevice for FinFet {
     }
 
     fn load(&self, v: &[f64], stamp: &mut DeviceStamp) {
-        let (vd, vg, vs) = (v[0], v[1], v[2]);
-        let id = self.ids(vd, vg, vs);
+        let (id, [dd, dg, ds]) = self.eval(v[0], v[1], v[2]);
         // Terminal currents into the device: drain +I_D, source −I_D.
         stamp.current[0] = id;
         stamp.current[2] = -id;
-
-        // Central-difference conductances.
-        const H: f64 = 1e-6;
-        let dd = (self.ids(vd + H, vg, vs) - self.ids(vd - H, vg, vs)) / (2.0 * H);
-        let dg = (self.ids(vd, vg + H, vs) - self.ids(vd, vg - H, vs)) / (2.0 * H);
-        let ds = (self.ids(vd, vg, vs + H) - self.ids(vd, vg, vs - H)) / (2.0 * H);
         stamp.conductance[0][0] = dd;
         stamp.conductance[0][1] = dg;
         stamp.conductance[0][2] = ds;
@@ -468,6 +490,77 @@ mod tests {
         // gm and gds positive in saturation.
         assert!(stamp.conductance[0][1] > 0.0, "gm");
         assert!(stamp.conductance[0][0] > 0.0, "gds");
+    }
+
+    /// The stamp's partials equal h = 1e-6 central differences of `ids`
+    /// within 1e-8 of the largest |G|, and its current equals `ids` bit
+    /// for bit, over a fixed-seed sample in ±3 V: both polarities, 1–4
+    /// fins, |v_ds| ≥ 1 mV, and every branch of the EKV interpolation at
+    /// both channel ends (|u/2| > 40 above and below included).
+    #[test]
+    fn closed_form_partials_match_central_differences() {
+        const H: f64 = 1e-6;
+        let mut rng = nvpg_numeric::Rng64::seed_from_u64(1);
+        // Points per (end, branch): u_f and u_r each below, inside or
+        // above the |u/2| ≤ 40 band.
+        let mut branches = [[0usize; 3]; 2];
+        for k in 0..100_000 {
+            let mut params = if k % 2 == 0 {
+                FinFetParams::nmos_20nm()
+            } else {
+                FinFetParams::pmos_20nm()
+            };
+            params = params.with_fins(1 + (k / 2 % 4) as u32);
+            let m = FinFet::new("m", NodeId::GROUND, NodeId::GROUND, NodeId::GROUND, params);
+            let v = loop {
+                let v = [(); 3].map(|_| rng.gen_range(-3.0..3.0));
+                if (v[0] - v[2]).abs() >= 1e-3 {
+                    break v;
+                }
+            };
+
+            // Classify the point by the NMOS-frame EKV arguments.
+            let mirror = if params.polarity == Polarity::Pmos {
+                -1.0
+            } else {
+                1.0
+            };
+            let [vd, vg, vs] = v.map(|x| mirror * x);
+            let (vsx, vds) = (vd.min(vs), (vd - vs).abs());
+            let vp = (vg - vsx - params.vth0 + params.dibl * vds) / params.n_factor;
+            for (end, u) in [vp, vp - vds].into_iter().enumerate() {
+                let half = 0.5 * u / params.phi_t();
+                branches[end][usize::from(half >= -40.0) + usize::from(half > 40.0)] += 1;
+            }
+
+            let mut stamp = DeviceStamp::new(3);
+            m.load(&v, &mut stamp);
+            let id = m.ids(v[0], v[1], v[2]);
+            assert_eq!(stamp.current[0].to_bits(), id.to_bits(), "I_D at {v:?}");
+            assert_eq!(stamp.current[2].to_bits(), (-id).to_bits(), "I_S at {v:?}");
+
+            let g = &stamp.conductance[0];
+            let g_max = g.iter().fold(0.0f64, |a, x| a.max(x.abs()));
+            for u in 0..3 {
+                let (mut lo, mut hi) = (v, v);
+                lo[u] -= H;
+                hi[u] += H;
+                let fd = (m.ids(hi[0], hi[1], hi[2]) - m.ids(lo[0], lo[1], lo[2])) / (2.0 * H);
+                let err = (g[u] - fd).abs();
+                assert!(
+                    err <= 1e-8 * g_max,
+                    "{params:?} at {v:?}: G[0][{u}] = {:e}, difference quotient {fd:e}",
+                    g[u]
+                );
+                assert_eq!(stamp.conductance[2][u], -g[u]);
+            }
+        }
+        for (end, counts) in ["u_f", "u_r"].iter().zip(branches) {
+            assert!(
+                counts.iter().all(|&n| n > 0),
+                "{end} branches (below, inside, above) sampled {counts:?}"
+            );
+        }
     }
 
     #[test]
