@@ -1,13 +1,13 @@
 //! `validate` — the golden-reference validation harness's entry point.
 //!
 //! ```text
-//! validate [--check | --bless] [--goldens DIR] [--jobs N] [--lanes N]
-//!          [--random N] [--fuzz N] [--seed S] [--no-ngspice] [--deck ID]...
+//! validate [--check | --bless] [--goldens DIR] [--jobs N] [--random N]
+//!          [--fuzz N] [--seed S] [--no-ngspice] [--deck ID]...
 //! ```
 //!
 //! * `--check` (the default) runs, in order: the full differential
-//!   matrix (dense×sparse × serial×shared-workspace, DC + transient, plus
-//!   the jobs-invariance bit-compare), the committed-golden comparison for
+//!   matrix (dense×sparse, DC + transient, plus the jobs-invariance
+//!   bit-compare), the committed-golden comparison for
 //!   every registry deck, `--random N` seeded random-netlist
 //!   equivalence points, a `--fuzz N`-iteration mutation smoke loop
 //!   over the hostile corpus, and — when an `ngspice` binary is on
@@ -33,8 +33,8 @@ use nvpg_obs::metrics::counters;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: validate [--check | --bless] [--goldens DIR] [--jobs N] [--lanes N]\n\
-         \x20               [--random N] [--fuzz N] [--seed S] [--no-ngspice] [--deck ID]..."
+        "usage: validate [--check | --bless] [--goldens DIR] [--jobs N] [--random N]\n\
+         \x20               [--fuzz N] [--seed S] [--no-ngspice] [--deck ID]..."
     );
     std::process::exit(2);
 }
@@ -43,7 +43,6 @@ struct Options {
     bless: bool,
     goldens: std::path::PathBuf,
     jobs: usize,
-    lanes: usize,
     random: u64,
     fuzz: u64,
     seed: u64,
@@ -57,7 +56,6 @@ impl Default for Options {
             bless: false,
             goldens: default_goldens_dir(),
             jobs: 0,
-            lanes: 4,
             random: 40,
             fuzz: 2000,
             seed: 0x5eed,
@@ -82,7 +80,6 @@ fn parse_args() -> Options {
             "--bless" => opts.bless = true,
             "--goldens" => opts.goldens = args.next().unwrap_or_else(|| usage()).into(),
             "--jobs" => opts.jobs = num("--jobs") as usize,
-            "--lanes" => opts.lanes = num("--lanes") as usize,
             "--random" => opts.random = num("--random"),
             "--fuzz" => opts.fuzz = num("--fuzz"),
             "--seed" => opts.seed = num("--seed"),
@@ -97,7 +94,6 @@ fn parse_args() -> Options {
 fn matrix_config(opts: &Options) -> MatrixConfig {
     MatrixConfig {
         jobs: opts.jobs,
-        batch_lanes: opts.lanes,
         decks: if opts.decks.is_empty() {
             None
         } else {

@@ -14,7 +14,7 @@
 
 use std::ops::AddAssign;
 
-use nvpg_circuit::dc::{operating_point, operating_points, DcOptions};
+use nvpg_circuit::dc::{operating_point, DcOptions};
 use nvpg_circuit::{Circuit, CircuitError, DcSolution, NodeId, SolverChoice, StepStats, Waveform};
 use nvpg_devices::finfet::FinFet;
 use nvpg_devices::mtj::MtjState;
@@ -97,10 +97,8 @@ struct Latch {
 /// order the builder's netlist needs: node and device order fix the MNA
 /// layout, so they are part of each builder's answer.
 ///
-/// [`solve`](Self::solve) settles one operating point;
-/// [`solve_batch`](Self::solve_batch) settles many same-topology
-/// builders — one per parameter point — on one shared Newton workspace
-/// ([`operating_points`]).
+/// [`solve`](Self::solve) settles the operating point and finishes the
+/// array.
 #[derive(Debug)]
 pub struct ArrayBuilder {
     ckt: Circuit,
@@ -300,17 +298,13 @@ impl ArrayBuilder {
         self.ckt
     }
 
-    /// Solves the operating point serially and finishes the array.
+    /// Solves the operating point and finishes the array.
     ///
     /// # Errors
     ///
     /// Propagates DC non-convergence.
     pub fn solve(mut self) -> Result<CellArray, CircuitError> {
         let state = operating_point(&mut self.ckt, &self.opts)?;
-        Ok(self.finish(state))
-    }
-
-    fn finish(self, state: DcSolution) -> CellArray {
         let engine = PhaseEngine::new(
             self.ckt,
             state,
@@ -319,42 +313,13 @@ impl ArrayBuilder {
             self.sources,
             self.groups,
         );
-        CellArray {
+        Ok(CellArray {
             engine,
             kind: self.kind,
             rows: self.rows,
             cols: self.cols,
             cells: self.cells,
-        }
-    }
-
-    /// Solves a batch of prepared arrays on one shared Newton workspace
-    /// ([`operating_points`]), returning per-array results in input order.
-    ///
-    /// All builders must share one topology *and one seed pattern*: the
-    /// DC nodesets of the first builder drive every point. Only device
-    /// parameter values may differ, which is exactly the
-    /// Monte-Carlo/thermal-scan shape. A builder whose unknown count
-    /// differs is solved on a workspace of its own, so the call is always
-    /// safe.
-    pub fn solve_batch(builders: Vec<ArrayBuilder>) -> Vec<Result<CellArray, CircuitError>> {
-        let Some(opts) = builders.first().map(|b| b.opts.clone()) else {
-            return Vec::new();
-        };
-        let (mut circuits, seeds): (Vec<Circuit>, Vec<ArrayBuilder>) = builders
-            .into_iter()
-            .map(|mut b| (std::mem::replace(&mut b.ckt, Circuit::new()), b))
-            .unzip();
-        let results = operating_points(&mut circuits, &opts);
-        circuits
-            .into_iter()
-            .zip(seeds)
-            .zip(results)
-            .map(|((ckt, mut seed), res)| {
-                seed.ckt = ckt;
-                res.map(|(state, _stats)| seed.finish(state))
-            })
-            .collect()
+        })
     }
 }
 

@@ -100,8 +100,10 @@ impl DomainArray {
     ///
     /// # Errors
     ///
-    /// Propagates netlist and DC-convergence errors (see
-    /// [`prepare`](Self::prepare)).
+    /// Returns [`CircuitError::InvalidValue`] for degenerate specs —
+    /// zero `rows`/`cols`, or a domain so large that the shared header's
+    /// `N_FSW × cells` fin count no longer fits the FinFET width model —
+    /// and otherwise propagates netlist and DC-convergence errors.
     pub fn with_solver(
         design: CellDesign,
         kind: DomainKind,
@@ -116,17 +118,8 @@ impl DomainArray {
     }
 
     /// Builds the domain netlist and its pattern-seeded DC options
-    /// *without* solving the operating point, for batch-shaped drivers
-    /// (Monte-Carlo variation, thermal scans) that settle many
-    /// same-topology domains through [`ArrayBuilder::solve_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidValue`] for degenerate specs —
-    /// zero `rows`/`cols`, or a domain so large that the shared header's
-    /// `N_FSW × cells` fin count no longer fits the FinFET width model —
-    /// and otherwise propagates netlist errors.
-    pub fn prepare(
+    /// without solving the operating point.
+    fn prepare(
         design: CellDesign,
         kind: DomainKind,
         rows: usize,

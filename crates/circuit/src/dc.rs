@@ -178,81 +178,9 @@ pub fn operating_point_from_report(
 ) -> Result<(DcSolution, RescueStats), CircuitError> {
     let _span = nvpg_obs::span_labeled("solve", "dc");
     let mut solver = crate::solver::build_newton(circuit, opts.newton, opts.solver);
-    ladder(&mut solver, circuit, opts, x0)
-}
-
-/// Computes the DC operating point of every circuit in `circuits`, in
-/// input order, on one shared Newton workspace.
-///
-/// The circuits must share one topology: the same elements in the same
-/// order, hence the same unknown count and Jacobian pattern. Only
-/// parameter values may differ, as between Monte-Carlo samples or the
-/// points of a design scan. The workspace is built once from
-/// `circuits[0]`; on the sparse backend that is one pattern and one
-/// symbolic analysis, which every later point refactors over. Each point
-/// then runs the ladder of [`operating_point_report`] from its own
-/// nodeset-seeded start, so on the dense backend a result is
-/// bit-identical to a standalone solve of that circuit, and on the sparse
-/// backend it differs only through the pivot order it inherits. A circuit
-/// whose unknown count differs from the first one's gets a workspace of
-/// its own.
-///
-/// Failures stay per point: one point's error never poisons its
-/// neighbours.
-pub fn operating_points(
-    circuits: &mut [Circuit],
-    opts: &DcOptions,
-) -> Vec<Result<(DcSolution, RescueStats), CircuitError>> {
-    let Some(first) = circuits.first_mut() else {
-        return Vec::new();
-    };
-    let mut solver = crate::solver::build_newton(first, opts.newton, opts.solver);
-    operating_points_on(&mut solver, circuits, opts)
-}
-
-/// [`operating_points`] on a caller-built workspace.
-fn operating_points_on(
-    solver: &mut NewtonSolver,
-    circuits: &mut [Circuit],
-    opts: &DcOptions,
-) -> Vec<Result<(DcSolution, RescueStats), CircuitError>> {
-    use nvpg_obs::metrics::counters;
-    let n = circuits.first().map_or(0, Circuit::unknown_count);
-    let shared = circuits.len() > 1;
-    circuits
-        .iter_mut()
-        .map(|circuit| {
-            if circuit.unknown_count() != n {
-                return operating_point_report(circuit, opts);
-            }
-            let result = {
-                let _span = nvpg_obs::span_labeled("solve", "dc");
-                let x0 = initial_vector(circuit, opts);
-                ladder(solver, circuit, opts, &x0)
-            };
-            if shared {
-                match &result {
-                    Ok((_, stats)) if stats.damped_retries == 0 => {
-                        counters::ENGINE_BATCHED_POINTS.add(1);
-                    }
-                    _ => counters::ENGINE_BATCHED_PEELS.add(1),
-                }
-            }
-            result
-        })
-        .collect()
-}
-
-/// The rescue ladder on the workspace `solver`, followed by one registry
-/// deposit per successful solve from the aggregated stats, so global
-/// metrics reconcile with the returned [`RescueStats`].
-fn ladder(
-    solver: &mut NewtonSolver,
-    circuit: &mut Circuit,
-    opts: &DcOptions,
-    x0: &[f64],
-) -> Result<(DcSolution, RescueStats), CircuitError> {
-    let result = rungs(solver, circuit, opts, x0);
+    let result = rungs(&mut solver, circuit, opts, x0);
+    // One registry deposit per successful solve, from the aggregated
+    // stats, so global metrics reconcile with the returned RescueStats.
     if let Ok((_, stats)) = &result {
         stats.record_metrics();
         nvpg_obs::metrics::counters::DC_SOLVES.add(1);
@@ -260,10 +188,8 @@ fn ladder(
     result
 }
 
-/// The rungs of the rescue ladder (see [`operating_point_from_report`]).
-/// The workspace's options and retained factorisation are reset first,
-/// so neither a damped rung's settings nor a stale Jacobian carries over
-/// from an earlier point.
+/// The rungs of the rescue ladder (see [`operating_point_from_report`])
+/// on the fresh workspace `solver`.
 fn rungs(
     solver: &mut NewtonSolver,
     circuit: &mut Circuit,
@@ -276,8 +202,6 @@ fn rungs(
         "warm-start vector has wrong length"
     );
     opts.newton.validate()?;
-    solver.set_options(opts.newton);
-    solver.invalidate_jacobian();
     let mut stats = RescueStats::default();
     let mut saw_nonfinite = false;
 
@@ -605,116 +529,6 @@ mod tests {
             sweep(&mut ckt, "vx", &[0.0], &DcOptions::default()),
             Err(CircuitError::UnknownSource { .. })
         ));
-    }
-
-    /// A nonlinear deck (a smooth switch, so Newton takes real
-    /// iterations) whose control drive is the per-point parameter.
-    fn switch_deck(drive: f64) -> Circuit {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("vin");
-        let out = ckt.node("out");
-        let ctl = ckt.node("ctl");
-        ckt.vsource("v1", vin, Circuit::GROUND, 1.0).unwrap();
-        ckt.vsource("vc", ctl, Circuit::GROUND, drive).unwrap();
-        ckt.switch("s1", vin, out, ctl, Circuit::GROUND, 0.5, 1.0, 1e12)
-            .unwrap();
-        ckt.resistor("rl", out, Circuit::GROUND, 1e3).unwrap();
-        ckt
-    }
-
-    fn assert_bits_eq(label: &str, a: &DcSolution, b: &DcSolution) {
-        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{label} unknown {i}: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn shared_sparse_workspace_runs_one_symbolic_analysis() {
-        let opts = DcOptions {
-            solver: SolverChoice::Sparse,
-            ..DcOptions::default()
-        };
-        let mut circuits: Vec<Circuit> = [0.2, 0.6, 0.9].iter().map(|&d| switch_deck(d)).collect();
-        let mut solver = crate::solver::build_newton(&mut circuits[0], opts.newton, opts.solver);
-        let results = operating_points_on(&mut solver, &mut circuits, &opts);
-        assert!(results.iter().all(Result::is_ok));
-        let lu = solver.linear_solver().sparse_lu().expect("sparse backend");
-        assert_eq!(
-            lu.full_factorizations(),
-            1,
-            "one symbolic analysis for all points"
-        );
-        assert!(lu.refactorizations() > 0, "later points refactor over it");
-    }
-
-    #[test]
-    fn damped_rescue_does_not_leak_into_the_next_point() {
-        use crate::fault::{with_fault_plan_logged, FaultPlan};
-        // Point 0's plain-Newton solve is rejected, so the damped rung
-        // rescues it and leaves its options on the shared workspace.
-        let plan = FaultPlan::at_solves(FaultKind::RejectStep, &[0]);
-        let drives = [0.3, 0.7];
-        let mut circuits: Vec<Circuit> = drives.iter().map(|&d| switch_deck(d)).collect();
-        let (results, fired) = with_fault_plan_logged(&plan, || {
-            operating_points(&mut circuits, &DcOptions::default())
-        });
-        assert_eq!(fired.len(), 1);
-        let (_, stats0) = results[0].as_ref().unwrap();
-        assert_eq!(stats0.damped_retries, 1, "{stats0}");
-        assert_eq!(stats0.rescued_solves, 1, "{stats0}");
-        assert_eq!(stats0.injected_faults, 1, "{stats0}");
-        // Point 1 runs plain Newton under its own options, exactly as a
-        // standalone solve does.
-        let (sol1, stats1) = results[1].as_ref().unwrap();
-        let (alone, alone_stats) =
-            operating_point_report(&mut switch_deck(drives[1]), &DcOptions::default()).unwrap();
-        assert_eq!(*stats1, alone_stats);
-        assert_bits_eq("point 1", sol1, &alone);
-    }
-
-    #[test]
-    fn singular_point_fails_alone_and_neighbours_converge() {
-        // A VCVS that drives its own control node: the branch equation
-        // reads (1 - gain)·v(a) = 0, singular at gain 1 on every rung.
-        let deck = |gain: f64| {
-            let mut ckt = Circuit::new();
-            let a = ckt.node("a");
-            ckt.isource("i1", Circuit::GROUND, a, 1e-3).unwrap();
-            ckt.resistor("r1", a, Circuit::GROUND, 1e3).unwrap();
-            ckt.vcvs("e1", a, Circuit::GROUND, a, Circuit::GROUND, gain)
-                .unwrap();
-            ckt
-        };
-        let gains = [2.0, 1.0, 3.0];
-        for solver in [SolverChoice::Dense, SolverChoice::Sparse] {
-            let opts = DcOptions {
-                solver,
-                ..DcOptions::default()
-            };
-            let mut circuits: Vec<Circuit> = gains.iter().map(|&g| deck(g)).collect();
-            let results = operating_points(&mut circuits, &opts);
-            assert!(results[1].is_err(), "{solver}: singular point converged");
-            for k in [0, 2] {
-                let (sol, _) = results[k]
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{solver}: point {k} failed: {e}"));
-                let (alone, _) = operating_point_report(&mut deck(gains[k]), &opts).unwrap();
-                for (x, y) in sol.as_slice().iter().zip(alone.as_slice()) {
-                    assert!((x - y).abs() <= 1e-9, "{solver} point {k}: {x} vs {y}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_and_single_point_sets() {
-        assert!(operating_points(&mut [], &DcOptions::default()).is_empty());
-        let mut one = vec![switch_deck(0.8)];
-        let results = operating_points(&mut one, &DcOptions::default());
-        let (sol, _) = results[0].as_ref().unwrap();
-        let (alone, _) =
-            operating_point_report(&mut switch_deck(0.8), &DcOptions::default()).unwrap();
-        assert_bits_eq("single point", sol, &alone);
     }
 
     #[test]

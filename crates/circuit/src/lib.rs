@@ -10,8 +10,7 @@
 //!   the MTJ macromodel live in `nvpg-devices`).
 //! * **DC operating point** ([`dc::operating_point`]) — damped Newton with
 //!   nodesets for bistable circuits, plus gmin stepping and source
-//!   stepping fallbacks; [`dc::operating_points`] runs a same-topology
-//!   point set through that ladder on one shared Newton workspace.
+//!   stepping fallbacks.
 //! * **DC sweeps** ([`dc::sweep`]) with warm starting.
 //! * **Transient analysis** ([`transient::transient`]) — adaptive-step
 //!   backward Euler with waveform breakpoint handling, recording node

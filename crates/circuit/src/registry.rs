@@ -2,7 +2,7 @@
 //! cross-validation machinery exercises.
 //!
 //! Before this module existed each suite (dense-vs-sparse differential,
-//! batched-vs-serial, golden validation) carried its own hand-picked deck
+//! golden validation) carried its own hand-picked deck
 //! list, so a deck added to one suite silently skipped the others. Now
 //! [`registry`] enumerates the corpus once — every parser element type
 //! plus hostile-but-parseable numerics stressors — and every consumer

@@ -49,11 +49,6 @@ pub struct TransientOptions {
     /// fails with [`CircuitError::StepBudgetExhausted`] instead of looping
     /// forever at `dt_min`.
     pub max_steps: u64,
-    /// Local-truncation-error step control (the default). When `false`,
-    /// the controller falls back to the iteration-count heuristic alone
-    /// (grow ×1.5 on easy steps, halve on hard ones) — useful for
-    /// fixed-step convergence studies.
-    pub lte_control: bool,
     /// Relative per-unknown LTE tolerance: each unknown's estimated
     /// truncation error must stay below `lte_abstol + lte_reltol·|x|`.
     pub lte_reltol: f64,
@@ -90,7 +85,6 @@ impl Default for TransientOptions {
                 ..NewtonOptions::default()
             },
             max_steps: 10_000_000,
-            lte_control: true,
             lte_reltol: 1e-3,
             lte_abstol: 1e-6,
             lte_safety: 0.9,
@@ -405,7 +399,7 @@ pub fn transient(
             solver.invalidate_jacobian();
             dt_of_lu = step;
         }
-        if opts.lte_control && have_history {
+        if have_history {
             // Seed Newton from the polynomial predictor — in smooth
             // intervals it starts within the convergence tolerance.
             let a = step / dt_prev;
@@ -535,7 +529,7 @@ pub fn transient(
         // LTE = |d|·dt/(2dt + dt_prev), normalised per unknown against
         // `lte_abstol + lte_reltol·|x|`.
         let mut lte_ratio = 0.0_f64;
-        if opts.lte_control && have_history {
+        if have_history {
             let a = step / dt_prev;
             let scale = step / (2.0 * step + dt_prev);
             for ((&xn, &xi), &xp) in x_try.iter().zip(x.iter()).zip(x_prev.iter()) {
@@ -578,25 +572,17 @@ pub fn transient(
         t = t_new;
         recorder.sample(&x, t, &mut trace, &mut row);
 
-        if opts.lte_control && have_history {
-            // Ideal next step for a first-order method: LTE ∝ dt², so
-            // dt_next = dt·safety/√ratio, growth-capped. A hard Newton
-            // solve still halves the step as the inner heuristic.
-            let factor = if lte_ratio > 0.0 {
-                (opts.lte_safety / lte_ratio.sqrt()).min(opts.lte_max_growth)
-            } else {
-                opts.lte_max_growth
-            };
-            dt = (step * factor).clamp(opts.dt_min, opts.dt_max);
-            if iterations > 20 {
-                dt = (dt * 0.5).max(opts.dt_min);
-            }
-        } else if iterations <= 5 {
-            dt = (step * 1.5).min(opts.dt_max);
-        } else if iterations > 20 {
-            dt = (step * 0.5).max(opts.dt_min);
+        // Ideal next step for a first-order method: LTE ∝ dt², so
+        // dt_next = dt·safety/√ratio, growth-capped. A hard Newton solve
+        // still halves the step as the inner heuristic.
+        let factor = if lte_ratio > 0.0 {
+            (opts.lte_safety / lte_ratio.sqrt()).min(opts.lte_max_growth)
         } else {
-            dt = step;
+            opts.lte_max_growth
+        };
+        dt = (step * factor).clamp(opts.dt_min, opts.dt_max);
+        if iterations > 20 {
+            dt = (dt * 0.5).max(opts.dt_min);
         }
     }
 

@@ -20,7 +20,6 @@ use nvpg_cells::domain::DomainKind;
 use nvpg_circuit::CircuitError;
 
 use crate::arch::Architecture;
-use crate::batch::solve_domain_designs;
 use crate::energy::{BenchmarkParams, EnergyModel};
 
 /// Outcome of a BET computation.
@@ -131,19 +130,16 @@ pub struct BetScanPoint {
 ///
 /// Every grid point is one varied [`CellDesign`] — threshold shift on
 /// both device cards, power-switch width `n_fsw` — whose `rows × cols`
-/// NVPG domain operating point solves on a Newton workspace shared with
-/// its chunk of the grid ([`crate::batch`], chunks fanned over `jobs`
-/// workers). The per-point BET is first-order: `ch`'s NV
-/// static powers are scaled by the point's measured domain leakage
-/// relative to the unshifted design's, and the closed-form crossing
-/// re-solved — the leakage axis of the BET surface, without a transient
-/// re-characterisation per point.
+/// NVPG domain operating point is solved, in grid order. The per-point
+/// BET is first-order: `ch`'s NV static powers are scaled by the point's
+/// measured domain leakage relative to the unshifted design's, and the
+/// closed-form crossing re-solved — the leakage axis of the BET surface,
+/// without a transient re-characterisation per point.
 ///
 /// # Errors
 ///
-/// Fails at the setup stage (nominal domain); per-point DC failures
-/// propagate as that point's error is the first one encountered.
-#[allow(clippy::too_many_arguments)]
+/// Propagates the first DC failure in grid order, the nominal domain's
+/// included.
 pub fn bet_design_scan(
     base: &CellDesign,
     ch: &CellCharacterization,
@@ -152,60 +148,42 @@ pub fn bet_design_scan(
     rows: usize,
     cols: usize,
     params: &BenchmarkParams,
-    jobs: usize,
 ) -> Result<Vec<BetScanPoint>, CircuitError> {
+    use nvpg_cells::array::checkerboard;
     use nvpg_cells::domain::DomainArray;
-    use nvpg_circuit::SolverChoice;
 
-    let mut grid = Vec::with_capacity(vth_shifts.len() * fin_counts.len());
-    let mut designs = Vec::with_capacity(grid.capacity());
-    for &dv in vth_shifts {
+    let domain_power = |design: CellDesign| {
+        DomainArray::new(design, DomainKind::Nvpg, rows, cols, checkerboard)
+            .map(|domain| domain.static_power())
+    };
+    let nominal_power = domain_power(*base)?;
+
+    let mut points = Vec::with_capacity(vth_shifts.len() * fin_counts.len());
+    for &vth_shift in vth_shifts {
         for &n_fsw in fin_counts {
-            let mut d = base.with_power_switch_fins(n_fsw);
-            d.nmos.vth0 += dv;
-            d.pmos.vth0 += dv;
-            grid.push((dv, n_fsw));
-            designs.push(d);
+            let mut design = base.with_power_switch_fins(n_fsw);
+            design.nmos.vth0 += vth_shift;
+            design.pmos.vth0 += vth_shift;
+            let static_power = domain_power(design)?;
+            let ratio = static_power / nominal_power;
+            let mut scaled = *ch;
+            scaled.static_power.p_nv_normal *= ratio;
+            scaled.static_power.p_nv_sleep *= ratio;
+            scaled.static_power.p_nv_shutdown *= ratio;
+            scaled.static_power.p_nv_shutdown_super *= ratio;
+            let bet = match bet_closed_form(&EnergyModel::new(scaled), Architecture::Nvpg, params) {
+                Bet::At(t) => Some(t.0),
+                _ => None,
+            };
+            points.push(BetScanPoint {
+                vth_shift,
+                n_fsw,
+                static_power,
+                bet,
+            });
         }
     }
-
-    let nominal = DomainArray::prepare(
-        *base,
-        DomainKind::Nvpg,
-        rows,
-        cols,
-        SolverChoice::Auto,
-        nvpg_cells::array::checkerboard,
-    )?
-    .solve()?;
-    let nominal_power = nominal.static_power();
-
-    solve_domain_designs(&designs, DomainKind::Nvpg, rows, cols, jobs)
-        .into_iter()
-        .zip(grid)
-        .map(|(res, (vth_shift, n_fsw))| {
-            res.map(|domain| {
-                let static_power = domain.static_power();
-                let ratio = static_power / nominal_power;
-                let mut scaled = *ch;
-                scaled.static_power.p_nv_normal *= ratio;
-                scaled.static_power.p_nv_sleep *= ratio;
-                scaled.static_power.p_nv_shutdown *= ratio;
-                scaled.static_power.p_nv_shutdown_super *= ratio;
-                let bet =
-                    match bet_closed_form(&EnergyModel::new(scaled), Architecture::Nvpg, params) {
-                        Bet::At(t) => Some(t.0),
-                        _ => None,
-                    };
-                BetScanPoint {
-                    vth_shift,
-                    n_fsw,
-                    static_power,
-                    bet,
-                }
-            })
-        })
-        .collect()
+    Ok(points)
 }
 
 #[cfg(test)]
@@ -371,7 +349,7 @@ mod tests {
         let shifts = [-10e-3, 0.0, 10e-3];
         let fins = [7, 14];
         let p = params(10);
-        let pts = bet_design_scan(&base, &ch, &shifts, &fins, 2, 2, &p, 0).unwrap();
+        let pts = bet_design_scan(&base, &ch, &shifts, &fins, 2, 2, &p).unwrap();
         assert_eq!(pts.len(), 6);
         // Row-major: fins vary fastest.
         assert_eq!((pts[0].vth_shift, pts[0].n_fsw), (-10e-3, 7));

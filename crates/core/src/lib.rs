@@ -40,7 +40,6 @@
 //! ```
 
 pub mod arch;
-pub mod batch;
 pub mod bet;
 /// Cooperative cancellation tokens, shared across the whole solve stack
 /// (re-exported from `nvpg-numeric`): install a [`cancel::CancelToken`]
@@ -63,7 +62,6 @@ pub mod validate;
 pub mod variation;
 
 pub use arch::Architecture;
-pub use batch::solve_domain_designs;
 pub use bet::{bet_closed_form, bet_design_scan, bet_iterative, Bet, BetScanPoint};
 pub use cancel::CancelToken;
 pub use corners::{corner_analysis, Corner, CornerResult};
@@ -81,11 +79,6 @@ pub use nvpg_macro::{Granularity, MacroSpec};
 pub use policy::{IdleDistribution, PolicyModel};
 pub use report::{PointRecord, PointStatus, RunReport};
 pub use sequence::{run_sequence, SequenceParams, SequenceRun};
-pub use thermal::{
-    at_temperature, domain_leakage_sweep, temperature_sweep, DomainThermalPoint, ThermalPoint,
-};
+pub use thermal::{at_temperature, temperature_sweep, ThermalPoint};
 pub use validate::{all_decks, MatrixConfig, Tolerance, ValidationReport};
-pub use variation::{
-    run_domain_variation, run_variation, run_variation_report, DomainSample,
-    DomainVariationOutcome, VariationOutcome, VariationSpec,
-};
+pub use variation::{run_variation, run_variation_report, VariationOutcome, VariationSpec};

@@ -17,19 +17,18 @@
 //!   a dark bank. [`ShutdownPolicy`] folds both into the closed-form BET.
 //! * **The scan** — [`bet_macro_scan`] builds real macro netlists (cell
 //!   array + periphery) per granularity and technology, measures their
-//!   static power on shared DC Newton workspaces, and reports the BET of
+//!   static power at the DC operating point, and reports the BET of
 //!   NVPG and NOF against the OSR baseline with the always-on periphery
 //!   overhead charged to every architecture.
 
-use nvpg_cells::array::{checkerboard, ArrayBuilder};
+use nvpg_cells::array::checkerboard;
 use nvpg_cells::characterize::{characterize_cached, CellCharacterization};
 use nvpg_cells::design::CellDesign;
-use nvpg_cells::domain::DomainKind;
+use nvpg_cells::domain::{DomainArray, DomainKind};
 use nvpg_circuit::{CircuitError, SolverChoice};
 use nvpg_macro::{Granularity, MacroBuilder, MacroSpec, NvMacro};
 
 use crate::arch::Architecture;
-use crate::batch::solve_domain_designs;
 use crate::bet::{bet_closed_form, Bet};
 use crate::energy::{BenchmarkParams, EnergyModel};
 
@@ -221,11 +220,9 @@ pub struct MacroScanPoint {
 /// Per technology, the cell is (re-)characterised through the cached
 /// cell flow — store/restore energy and static powers come from the
 /// technology's own devices. Per `(granularity, technology)`, a real
-/// `rows × cols` macro netlist is built and its operating point solved
-/// on one Newton workspace per granularity (technologies share a
-/// topology, so they share one symbolic analysis); an OSR macro per
-/// granularity prices the
-/// volatile baseline's periphery the same way. The BET then follows from
+/// `rows × cols` macro netlist is built and its operating point solved;
+/// an OSR macro per granularity prices the volatile baseline's periphery
+/// the same way. The BET then follows from
 /// the closed form with the periphery overhead added to *every*
 /// architecture's static power and a half-array [`ShutdownPolicy`]
 /// (full-array when the granularity only has one group) folding in the
@@ -264,17 +261,14 @@ pub fn bet_macro_scan(
 
     // Domain-level baselines: the same cells without periphery, one NV
     // domain per technology plus the volatile 6T reference.
-    let nv_designs: Vec<CellDesign> = designs.iter().map(|(_, d, _)| *d).collect();
-    let nv_domains = solve_domain_designs(&nv_designs, DomainKind::Nvpg, rows, cols, 1);
-    let mut nv_domain_power = Vec::with_capacity(nv_domains.len());
-    for res in nv_domains {
-        nv_domain_power.push(res?.static_power());
-    }
-    let osr_domain_power =
-        solve_domain_designs(&[CellDesign::table1()], DomainKind::Osr, rows, cols, 1)
-            .pop()
-            .expect("one design in, one result out")?
-            .static_power();
+    let domain_power = |design: CellDesign, kind: DomainKind| {
+        DomainArray::new(design, kind, rows, cols, checkerboard).map(|domain| domain.static_power())
+    };
+    let nv_domain_power = designs
+        .iter()
+        .map(|(_, design, _)| domain_power(*design, DomainKind::Nvpg))
+        .collect::<Result<Vec<_>, _>>()?;
+    let osr_domain_power = domain_power(CellDesign::table1(), DomainKind::Osr)?;
 
     let mut points = Vec::new();
     for &granularity in granularities {
@@ -296,23 +290,11 @@ pub fn bet_macro_scan(
         .solve()?;
         let osr_overhead = ((osr_macro.static_power() - osr_domain_power) / cells).max(0.0);
 
-        // One NV macro per technology — same topology, so they share one
-        // Newton workspace.
-        let builders = designs
-            .iter()
-            .map(|(_, design, _)| {
-                let mut s = spec0;
-                s.design = *design;
-                MacroBuilder::prepare(s, SolverChoice::Auto, checkerboard)
-                    .map(MacroBuilder::into_array)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let macros = ArrayBuilder::solve_batch(builders);
-
-        for ((res, (label, _, ch)), &domain_power) in
-            macros.into_iter().zip(&designs).zip(&nv_domain_power)
-        {
-            let m = res?;
+        // One NV macro per technology.
+        for ((label, design, ch), &domain_power) in designs.iter().zip(&nv_domain_power) {
+            let mut spec = spec0;
+            spec.design = *design;
+            let m = MacroBuilder::prepare(spec, SolverChoice::Auto, checkerboard)?.solve()?;
             let nv_overhead = ((m.static_power() - domain_power) / cells).max(0.0);
             // Charge the always-on periphery to every architecture: it
             // never gates, so it adds to normal, sleep and shutdown

@@ -13,11 +13,9 @@
 
 use nvpg_cells::characterize::{characterize_cached, CellCharacterization};
 use nvpg_cells::design::CellDesign;
-use nvpg_cells::domain::DomainKind;
 use nvpg_circuit::CircuitError;
 
 use crate::arch::Architecture;
-use crate::batch::solve_domain_designs;
 use crate::bet::{bet_closed_form, Bet};
 use crate::energy::{BenchmarkParams, EnergyModel};
 
@@ -74,52 +72,6 @@ pub fn temperature_sweep(
     })
 }
 
-/// One point of [`domain_leakage_sweep`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DomainThermalPoint {
-    /// Junction temperature (K).
-    pub temp: f64,
-    /// Normal-mode static power of the whole domain (W).
-    pub static_power: f64,
-    /// Worst per-cell storage margin `|V(Q) − V(QB)|` (V).
-    pub margin: f64,
-}
-
-/// Array-scale thermal scan: solves the DC operating point of one
-/// `rows × cols` domain of `kind` per temperature — the points share
-/// Newton workspaces chunk by chunk ([`crate::batch`]), chunks fanned
-/// out over `jobs` workers — and reports the
-/// domain's leakage and storage margin against temperature.
-///
-/// Where [`temperature_sweep`] re-runs the full (transient) cell
-/// characterisation per point, this scan isolates the DC quantity that
-/// dominates the BET's temperature dependence: whole-domain leakage.
-///
-/// # Errors
-///
-/// Propagates the first point's DC failure.
-pub fn domain_leakage_sweep(
-    base: &CellDesign,
-    temps: &[f64],
-    kind: DomainKind,
-    rows: usize,
-    cols: usize,
-    jobs: usize,
-) -> Result<Vec<DomainThermalPoint>, CircuitError> {
-    let designs: Vec<CellDesign> = temps.iter().map(|&t| at_temperature(base, t)).collect();
-    solve_domain_designs(&designs, kind, rows, cols, jobs)
-        .into_iter()
-        .zip(temps)
-        .map(|(res, &temp)| {
-            res.map(|domain| DomainThermalPoint {
-                temp,
-                static_power: domain.static_power(),
-                margin: domain.min_storage_margin(),
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,30 +114,5 @@ mod tests {
         // long at 360 K — the technology's selling point).
         assert!(pts[2].retention < pts[0].retention);
         assert!(pts[2].retention > 3.2e8, "10-year class at 360 K");
-    }
-
-    #[test]
-    fn domain_leakage_sweep_rises_with_temperature_at_any_jobs() {
-        let temps = [280.0, 300.0, 320.0, 340.0, 360.0];
-        let base = CellDesign::table1();
-        let pts = domain_leakage_sweep(&base, &temps, DomainKind::Nvpg, 2, 2, 0).unwrap();
-        assert_eq!(pts.len(), temps.len());
-        // Subthreshold leakage is exponential in T: strictly increasing.
-        for w in pts.windows(2) {
-            assert!(
-                w[1].static_power > w[0].static_power,
-                "leakage not increasing: {w:?}"
-            );
-        }
-        // Margins hold across the range.
-        for p in &pts {
-            assert!(p.margin > 0.5, "{} K: margin {}", p.temp, p.margin);
-        }
-        // The pool width never changes the answers.
-        let serial = domain_leakage_sweep(&base, &temps, DomainKind::Nvpg, 2, 2, 1).unwrap();
-        for (b, s) in pts.iter().zip(&serial) {
-            assert_eq!(b.static_power.to_bits(), s.static_power.to_bits());
-            assert_eq!(b.margin.to_bits(), s.margin.to_bits());
-        }
     }
 }

@@ -1,15 +1,15 @@
-//! The every-deck differential matrix: dense×sparse × serial×shared,
-//! DC and transient, plus jobs-invariance and seeded random-netlist
-//! equivalence — all driven from the single deck registry
+//! The every-deck differential matrix: dense×sparse, DC and transient,
+//! plus jobs-invariance and seeded random-netlist equivalence — all
+//! driven from the single deck registry
 //! ([`nvpg_circuit::registry::registry`]).
 //!
-//! The dense-serial solve is the *reference axis*: every other cell of
+//! The dense solve is the *reference axis*: every other cell of
 //! the matrix is compared against it under the committed
 //! [`Tolerance::MATRIX`] bound. Jobs-invariance is stricter — scheduling
 //! must not change arithmetic at all, so `jobs=1` and `jobs=N` results
 //! are compared bit-for-bit (`f64::to_bits`), not within a tolerance.
 
-use nvpg_circuit::dc::{operating_point, operating_points, DcOptions};
+use nvpg_circuit::dc::{operating_point, DcOptions};
 use nvpg_circuit::registry::{random_circuit, DeckSpec};
 use nvpg_circuit::transient::{transient, TransientOptions};
 use nvpg_circuit::{Circuit, CircuitError, SolverChoice};
@@ -24,8 +24,6 @@ pub struct MatrixConfig {
     /// Worker count for the jobs-invariance arm (`0` → the machine's
     /// available parallelism). The `jobs=1` side is always run too.
     pub jobs: usize,
-    /// Identical circuits solved on one shared Newton workspace.
-    pub batch_lanes: usize,
     /// Cross-backend comparison tolerance.
     pub tolerance: Tolerance,
     /// Restrict to these registry deck ids (`None` = every deck).
@@ -38,7 +36,6 @@ impl Default for MatrixConfig {
     fn default() -> Self {
         MatrixConfig {
             jobs: 0,
-            batch_lanes: 4,
             tolerance: Tolerance::MATRIX,
             decks: None,
             include_tran: true,
@@ -148,7 +145,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> ValidationReport {
     let decks = cfg.selected();
 
     for spec in &decks {
-        // Reference axis: dense serial DC.
+        // Reference axis: dense DC.
         let reference = match dc_vector(&mut spec.circuit(), SolverChoice::Dense) {
             Ok(v) => v,
             Err(e) => {
@@ -157,7 +154,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> ValidationReport {
             }
         };
 
-        // Sparse serial.
+        // Sparse.
         match dc_vector(&mut spec.circuit(), SolverChoice::Sparse) {
             Ok(v) => compare_cell(
                 &mut report,
@@ -173,38 +170,6 @@ pub fn run_matrix(cfg: &MatrixConfig) -> ValidationReport {
                 e.taxonomy(),
                 e.to_string(),
             ),
-        }
-
-        // Shared-workspace groups, both backends. Identical circuits (the
-        // deck parsed `batch_lanes` times) keep the topology shared, which
-        // is the sharing contract; every point must match the serial
-        // reference.
-        for solver in [SolverChoice::Dense, SolverChoice::Sparse] {
-            let tag = match solver {
-                SolverChoice::Dense => "dense-shared",
-                _ => "sparse-shared",
-            };
-            let mut lanes: Vec<Circuit> = (0..cfg.batch_lanes.max(2))
-                .map(|_| spec.circuit())
-                .collect();
-            let opts = DcOptions {
-                solver,
-                ..DcOptions::default()
-            };
-            for (lane, outcome) in operating_points(&mut lanes, &opts).into_iter().enumerate() {
-                let check = format!("{} {tag} lane {lane}", spec.id);
-                match outcome {
-                    Ok((sol, _)) => compare_cell(
-                        &mut report,
-                        "matrix:dc",
-                        &check,
-                        &cfg.tolerance,
-                        &reference,
-                        sol.as_slice(),
-                    ),
-                    Err(e) => report.fail("matrix:dc", check, e.taxonomy(), e.to_string()),
-                }
-            }
         }
 
         // Transient: dense reference vs sparse, final-state compare.
@@ -318,7 +283,6 @@ mod tests {
     fn small_cfg() -> MatrixConfig {
         MatrixConfig {
             jobs: 2,
-            batch_lanes: 2,
             decks: Some(vec!["divider".into(), "rc_lowpass".into()]),
             ..MatrixConfig::default()
         }
@@ -328,8 +292,8 @@ mod tests {
     fn small_matrix_is_green() {
         let report = run_matrix(&small_cfg());
         assert!(report.passed(), "{report}");
-        // 2 decks × (sparse-serial + 2×2 shared-workspace points + tran + jobs).
-        assert_eq!(report.run.records.len(), 2 * 7, "{report}");
+        // 2 decks × (sparse-serial + tran + jobs).
+        assert_eq!(report.run.records.len(), 2 * 3, "{report}");
     }
 
     #[test]
@@ -349,7 +313,7 @@ mod tests {
         assert!(!report.passed());
         assert_eq!(
             report.run.taxonomy_counts().get("matrix_mismatch"),
-            Some(&(2 * 5usize)),
+            Some(&2usize),
             "{report}"
         );
     }

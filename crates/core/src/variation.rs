@@ -15,16 +15,13 @@
 
 use nvpg_numeric::rng::Rng64;
 
-use nvpg_cells::array::checkerboard;
-use nvpg_cells::characterize::{characterize, characterize_cached};
+use nvpg_cells::characterize::characterize;
 use nvpg_cells::design::CellDesign;
-use nvpg_cells::domain::{DomainArray, DomainKind};
 use nvpg_circuit::fault::{with_fault_plan_logged, FaultPlan};
-use nvpg_circuit::{CircuitError, RescueStats, SolverChoice};
+use nvpg_circuit::{CircuitError, RescueStats};
 use nvpg_exec::{Budget, Settled};
 
 use crate::arch::Architecture;
-use crate::batch::solve_domain_designs;
 use crate::bet::{bet_closed_form, Bet};
 use crate::energy::{BenchmarkParams, EnergyModel};
 use crate::error::SimError;
@@ -334,136 +331,6 @@ pub fn run_variation_report_deadline(
     (outcome, report)
 }
 
-/// One successful sample of the array-scale (domain) Monte-Carlo.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DomainSample {
-    /// Static power of the varied domain in the normal mode (W).
-    pub static_power: f64,
-    /// Worst per-cell storage margin `|V(Q) − V(QB)|` (V).
-    pub margin: f64,
-    /// Whether every cell still latches its seeded pattern.
-    pub pattern_ok: bool,
-    /// First-order NVPG break-even time under this sample's leakage (s),
-    /// when benchmark parameters were supplied and a crossing exists.
-    pub bet: Option<f64>,
-}
-
-/// Outcome of [`run_domain_variation`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DomainVariationOutcome {
-    /// Per-sample results, in sample order, for samples that solved.
-    pub samples: Vec<DomainSample>,
-    /// Samples whose domain operating point failed to converge.
-    pub simulation_failures: u32,
-}
-
-/// Array-scale Monte-Carlo: samples varied designs with the *same*
-/// sub-streams as [`run_variation`] (sample `i` draws from
-/// `Rng64::split(seed, i)` regardless of chunking or worker count) and
-/// solves the DC operating point of one `rows × cols` domain of `kind`
-/// per sample — chunks of samples share a Newton workspace, and the
-/// chunks fan out over `jobs` workers (see [`crate::batch`]).
-///
-/// Reported per sample: the domain's normal-mode static power, the worst
-/// per-cell storage margin, and pattern integrity. When `params` is
-/// given, a first-order BET is attached: the nominal cell
-/// characterisation's NV static powers are scaled by this sample's
-/// leakage relative to the nominal domain's, and the closed-form BET
-/// re-solved — the leakage-driven BET spread, without re-running the
-/// transient characterisation per sample.
-///
-/// # Errors
-///
-/// Fails only at the setup stage (nominal domain or characterisation);
-/// per-sample failures are counted and reported fail-soft.
-#[allow(clippy::too_many_arguments)]
-pub fn run_domain_variation(
-    base: &CellDesign,
-    spec: &VariationSpec,
-    kind: DomainKind,
-    rows: usize,
-    cols: usize,
-    params: Option<&BenchmarkParams>,
-    jobs: usize,
-) -> Result<(DomainVariationOutcome, RunReport), CircuitError> {
-    let designs: Vec<CellDesign> = (0..u64::from(spec.samples))
-        .map(|i| {
-            let mut rng = Rng64::split(spec.seed, i);
-            sample_design(base, spec, &mut rng)
-        })
-        .collect();
-
-    // Nominal reference for the first-order BET scaling.
-    let bet_base = match params {
-        Some(p) => {
-            let nominal =
-                DomainArray::prepare(*base, kind, rows, cols, SolverChoice::Auto, checkerboard)?
-                    .solve()?;
-            Some((characterize_cached(base)?, nominal.static_power(), *p))
-        }
-        None => None,
-    };
-
-    let results = solve_domain_designs(&designs, kind, rows, cols, jobs);
-
-    let mut outcome = DomainVariationOutcome {
-        samples: Vec::with_capacity(designs.len()),
-        simulation_failures: 0,
-    };
-    let mut report = RunReport::new();
-    for (i, res) in results.into_iter().enumerate() {
-        let point = format!("sample {i}");
-        match res {
-            Ok(domain) => {
-                let static_power = domain.static_power();
-                let (r, c) = domain.dims();
-                let pattern_ok = (0..r)
-                    .all(|row| (0..c).all(|col| domain.data(row, col) == checkerboard(row, col)));
-                let bet = bet_base.as_ref().and_then(|(ch, nominal_power, p)| {
-                    let ratio = static_power / nominal_power;
-                    let mut scaled = *ch;
-                    scaled.static_power.p_nv_normal *= ratio;
-                    scaled.static_power.p_nv_sleep *= ratio;
-                    scaled.static_power.p_nv_shutdown *= ratio;
-                    scaled.static_power.p_nv_shutdown_super *= ratio;
-                    match bet_closed_form(&EnergyModel::new(scaled), Architecture::Nvpg, p) {
-                        Bet::At(t) => Some(t.0),
-                        _ => None,
-                    }
-                });
-                outcome.samples.push(DomainSample {
-                    static_power,
-                    margin: domain.min_storage_margin(),
-                    pattern_ok,
-                    bet,
-                });
-                report.push(
-                    "domain-variation",
-                    point,
-                    PointStatus::Ok,
-                    RescueStats::default(),
-                );
-            }
-            Err(e) => {
-                outcome.simulation_failures += 1;
-                report.push(
-                    "domain-variation",
-                    point.clone(),
-                    PointStatus::Failed {
-                        taxonomy: e.taxonomy().to_owned(),
-                        message: SimError::new("domain-variation", e)
-                            .at_point(point)
-                            .in_analysis("dc")
-                            .to_string(),
-                    },
-                    RescueStats::default(),
-                );
-            }
-        }
-    }
-    Ok((outcome, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,69 +408,6 @@ mod tests {
         assert_eq!(serial, parallel);
         assert_eq!(serial.mean_bet(), parallel.mean_bet());
         assert_eq!(serial.std_bet(), parallel.std_bet());
-    }
-
-    #[test]
-    fn domain_variation_is_jobs_invariant() {
-        // The array-scale MC must give the same answers at every worker
-        // count.
-        let spec = VariationSpec {
-            sigma_vth: 5e-3,
-            sigma_tmr_rel: 0.02,
-            sigma_jc_rel: 0.02,
-            samples: 6,
-            seed: 0xBA7C_4ED0,
-        };
-        let base = CellDesign::table1();
-        let run = |jobs| {
-            run_domain_variation(&base, &spec, DomainKind::Nvpg, 2, 2, None, jobs)
-                .unwrap()
-                .0
-        };
-        let reference = run(1);
-        assert_eq!(reference.simulation_failures, 0);
-        assert_eq!(reference.samples.len(), 6);
-        for s in &reference.samples {
-            assert!(s.pattern_ok, "pattern flipped under variation");
-            assert!(s.margin > 0.5, "margin {} too small", s.margin);
-            assert!(s.static_power > 0.0 && s.static_power < 1e-4);
-            assert_eq!(s.bet, None);
-        }
-        assert_eq!(reference, run(4));
-        assert_eq!(reference, run(8));
-    }
-
-    #[test]
-    fn domain_variation_attaches_leakage_scaled_bets() {
-        let spec = VariationSpec {
-            sigma_vth: 8e-3,
-            sigma_tmr_rel: 0.02,
-            sigma_jc_rel: 0.02,
-            samples: 4,
-            seed: 42,
-        };
-        let params = BenchmarkParams::fig7_default();
-        let (out, report) = run_domain_variation(
-            &CellDesign::table1(),
-            &spec,
-            DomainKind::Nvpg,
-            2,
-            2,
-            Some(&params),
-            0,
-        )
-        .unwrap();
-        assert_eq!(out.simulation_failures, 0);
-        assert_eq!(report.succeeded(), 4);
-        assert!(report.all_ok());
-        let bets: Vec<f64> = out.samples.iter().map(|s| s.bet.unwrap()).collect();
-        for b in &bets {
-            assert!((1e-7..1e-2).contains(b), "BET {b:e} out of band");
-        }
-        // The variation genuinely spreads the leakage-driven BET.
-        let spread = bets.iter().cloned().fold(f64::MIN, f64::max)
-            - bets.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(spread > 0.0, "no BET spread across samples");
     }
 
     #[test]

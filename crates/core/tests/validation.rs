@@ -91,7 +91,6 @@ fn bless_refuses_on_a_dirty_differential_and_writes_nothing() {
     let dir = tmp_dir("refuse");
     let cfg = MatrixConfig {
         jobs: 2,
-        batch_lanes: 2,
         // Unsatisfiable: |dev| <= -1 never holds, so every matrix cell
         // fails while the solves themselves stay healthy.
         tolerance: Tolerance {
@@ -118,7 +117,6 @@ fn bless_then_check_round_trips_and_catches_corruption() {
     let dir = tmp_dir("roundtrip");
     let cfg = MatrixConfig {
         jobs: 2,
-        batch_lanes: 2,
         decks: Some(vec!["divider".into()]),
         include_tran: false,
         ..MatrixConfig::default()

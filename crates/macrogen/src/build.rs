@@ -358,7 +358,7 @@ impl MacroBuilder {
         self.array.into_circuit()
     }
 
-    /// Solves the operating point serially and finishes the macro.
+    /// Solves the operating point and finishes the macro.
     ///
     /// # Errors
     ///
@@ -366,13 +366,6 @@ impl MacroBuilder {
     pub fn solve(self) -> Result<NvMacro, CircuitError> {
         let spec = self.spec;
         self.array.solve().map(|array| NvMacro { array, spec })
-    }
-
-    /// Consumes the builder, returning the array layer's prepared netlist —
-    /// for [`ArrayBuilder::solve_batch`], which settles many same-topology
-    /// macros on one shared Newton workspace.
-    pub fn into_array(self) -> ArrayBuilder {
-        self.array
     }
 }
 

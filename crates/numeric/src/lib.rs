@@ -14,8 +14,9 @@
 //!   array is ~17 000 unknowns) tractable. Engaged automatically above a
 //!   node-count threshold.
 //! * [`simd`] — runtime-dispatched AVX2/scalar kernels (axpy, dot, ∞-norm)
-//!   shared by the dense and sparse hot loops; override with
-//!   `NVPG_SIMD=scalar|avx2|auto`.
+//!   for the dense LU's hot loops and Newton's backtracking norm; override
+//!   with `NVPG_SIMD=scalar|avx2|auto`. The sparse LU uses none of them in
+//!   its factor, refactor or solve.
 //! * [`newton`] — a damped Newton–Raphson driver with configurable
 //!   convergence criteria, used for DC operating points and each implicit
 //!   transient step; runs on either linear-solver backend.

@@ -1,8 +1,8 @@
 //! Runtime-dispatched SIMD kernels for the hot vector operations.
 //!
-//! The dense LU inner loops, the triangular substitutions, and the Newton
-//! backtracking norm are all bandwidth-bound streaming loops over contiguous
-//! `f64` slices.  This module provides AVX2+FMA implementations with a scalar
+//! The dense LU inner loops, the dense triangular substitutions, and the
+//! Newton backtracking norm are all bandwidth-bound streaming loops over
+//! contiguous `f64` slices.  This module provides AVX2+FMA implementations with a scalar
 //! fallback, selected **once** at startup:
 //!
 //! 1. the `NVPG_SIMD` environment variable (`auto` | `scalar` | `avx2`) is
@@ -21,17 +21,23 @@
 //! The kernels are deliberately few and deliberately simple:
 //!
 //! * [`axpy`] — `y[i] += a * x[i]`, the rank-1 row update inside dense LU
-//!   factorisation (O(n³) of the work) and the scatter update inside the
-//!   sparse refactorisation's column loop;
-//! * [`dot`] — the row·solution reductions inside forward/backward
+//!   factorisation (O(n³) of the work);
+//! * [`dot`] — the row·solution reductions inside the dense forward/backward
 //!   substitution;
 //! * [`norm_inf`] — max-abs reduction that **propagates non-finite values**
 //!   (a NaN or ±∞ anywhere in the slice yields a non-finite result), so
-//!   Newton's NaN-safety is preserved on the vector path.
+//!   Newton's NaN-safety is preserved on the vector path. It is also the
+//!   only kernel the sparse module calls (in
+//!   [`SparseLu::residual_norm`](crate::sparse::SparseLu::residual_norm), a
+//!   test-side cross-check).
 //!
 //! Reductions use the same split-accumulator shape in both arms, and the
 //! scalar arm is written so the compiler may not contract it differently from
-//! run to run; results are deterministic for a fixed level.
+//! run to run; results are deterministic for a fixed level. The two arms of
+//! `axpy` and `dot` may differ in the last bits (FMA contraction); `norm_inf`
+//! is an exact maximum, bit-identical under both. So a sparse-backend solve
+//! gives the same bits under either arm, while dense-backend results move
+//! with the level.
 
 use std::sync::OnceLock;
 

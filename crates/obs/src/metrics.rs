@@ -189,24 +189,13 @@ pub mod counters {
     /// report rather than killing the run.
     pub static ENGINE_CANCELLED_POINTS: Counter = Counter::new("engine.cancelled_points");
 
-    /// Points of a multi-point shared-workspace DC solve
-    /// (`dc::operating_points`) that converged on the plain-Newton rung.
-    /// Reconciles against per-point totals: every such point is still one
-    /// `solve.dc_solves` and one sample/grid entry.
-    pub static ENGINE_BATCHED_POINTS: Counter = Counter::new("engine.batched_points");
-    /// Points of a multi-point shared-workspace DC solve that needed a
-    /// later rescue rung, or failed.
-    pub static ENGINE_BATCHED_PEELS: Counter = Counter::new("engine.batched_peels");
-
     /// Batches executed by the `/sweep`–`/bet` request coalescer (one
     /// leader solve covering one or more requests).
     pub static SERVE_BATCH_BATCHES: Counter = Counter::new("serve.batch.batches");
     /// Requests that joined an already-open coalescing window instead of
     /// solving alone (followers).
     pub static SERVE_BATCH_COALESCED: Counter = Counter::new("serve.batch.coalesced");
-    /// Deduplicated sweep points solved by coalesced batches. Together
-    /// with `engine.batched_points` this reconciles exactly against the
-    /// per-request point totals.
+    /// Deduplicated sweep points solved by coalesced batches.
     pub static SERVE_BATCH_POINTS: Counter = Counter::new("serve.batch.points");
 
     /// Checks executed by the golden/differential validation harness
@@ -241,7 +230,7 @@ pub mod gauges {
 }
 
 /// Every registered counter, in render order.
-static ALL_COUNTERS: [&Counter; 40] = [
+static ALL_COUNTERS: [&Counter; 38] = [
     &counters::ACCEPTED_STEPS,
     &counters::REJECTED_LTE,
     &counters::REJECTED_NEWTON,
@@ -271,8 +260,6 @@ static ALL_COUNTERS: [&Counter; 40] = [
     &counters::SERVE_DISCONNECTS,
     &counters::SERVE_WATCHDOG_FIRES,
     &counters::ENGINE_CANCELLED_POINTS,
-    &counters::ENGINE_BATCHED_POINTS,
-    &counters::ENGINE_BATCHED_PEELS,
     &counters::SERVE_BATCH_BATCHES,
     &counters::SERVE_BATCH_COALESCED,
     &counters::SERVE_BATCH_POINTS,

@@ -895,14 +895,11 @@ const VTH_SCAN_ROWS: usize = 4;
 const VTH_SCAN_COLS: usize = 4;
 
 /// Solves a `vth_shift` sweep: every shift is one varied cell design
-/// (both device cards shifted) whose 4×4 NVPG domain operating point
-/// solves on a Newton workspace shared with the other shifts, and the
-/// per-point BET is the first-order leakage-scaled closed-form crossing
-/// (`bet_design_scan`).
-///
-/// `jobs` is pinned to 1: the daemon's worker pool provides the
-/// request-level concurrency, and one worker already solves the whole
-/// point set on one workspace.
+/// (both device cards shifted) whose 4×4 NVPG domain operating point is
+/// solved, and the per-point BET is the first-order leakage-scaled
+/// closed-form crossing (`bet_design_scan`). The points solve in order
+/// on the request's worker; the daemon's worker pool provides the
+/// request-level concurrency.
 fn solve_vth_scan(
     technology: &str,
     params: &nvpg_core::BenchmarkParams,
@@ -918,7 +915,6 @@ fn solve_vth_scan(
         VTH_SCAN_ROWS,
         VTH_SCAN_COLS,
         params,
-        1,
     )
     .map_err(|e| Response::error(500, &format!("design scan: {e}")))?;
     Ok(scan
@@ -936,8 +932,8 @@ fn solve_vth_scan(
 /// The first three vary the analytic energy model's benchmark
 /// parameters (cheap closed-form/Brent solves); `vth_shift` runs real
 /// circuit solves — one varied design's domain operating point per
-/// value, all on one shared workspace ([`solve_vth_scan`]) — and is only
-/// defined for the NVPG architecture.
+/// value ([`solve_vth_scan`]) — and is only defined for the NVPG
+/// architecture.
 ///
 /// The body reaches this handler with `values` already canonicalised to
 /// the sorted-unique point *set* (see [`cached`]); the response's
@@ -1191,6 +1187,15 @@ fn simulate(_request: &Request, body: &Json, _shared: &Shared) -> Response {
                 solver,
                 ..TransientOptions::to(t_stop)
             };
+            // `to` derives `dt_max` from `t_stop`, so a short enough run
+            // falls below the default `dt_min`: a client error, caught
+            // before any solve.
+            if let Err(e) = opts.validate() {
+                return Response::error(
+                    400,
+                    &format!("`t_stop` {t_stop:e} s is too short to step: {e}"),
+                );
+            }
             let initial = match operating_point(&mut circuit, &dc_opts) {
                 Ok(op) => op,
                 Err(e) => return solver_error("dc", &e),

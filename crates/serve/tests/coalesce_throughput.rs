@@ -5,7 +5,7 @@
 //! Every request posts a shared 24-point `vth_shift` grid plus one unique
 //! jitter point, so requests share a topology but never a cache key:
 //! neither the cache nor single-flight can help, only the coalescer. Each
-//! point is a real batched 4×4 domain operating-point solve, so the solve
+//! point is a real 4×4 domain operating-point solve, so the solve
 //! (the part a coalesced union dedupes) dominates the request.
 //!
 //! The only test in its file, so no sibling test shares the CPU or the

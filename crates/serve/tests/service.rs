@@ -252,7 +252,7 @@ fn sweep_cache_key_canonicalises_point_sets() {
 }
 
 #[test]
-fn vth_shift_sweep_solves_through_the_batched_scan() {
+fn vth_shift_sweep_runs_real_domain_solves() {
     let _l = lock();
     let server = Server::start(test_config()).expect("start");
     let addr = server.addr();
@@ -261,7 +261,7 @@ fn vth_shift_sweep_solves_through_the_batched_scan() {
     let warm = post(addr, "/bet", r#"{"arch":"NVPG"}"#);
     assert_eq!(warm.status, 200, "{}", warm.text());
 
-    let batched0 = counters::ENGINE_BATCHED_POINTS.get();
+    let dc0 = counters::DC_SOLVES.get();
     let a = post(
         addr,
         "/sweep",
@@ -270,12 +270,11 @@ fn vth_shift_sweep_solves_through_the_batched_scan() {
     assert_eq!(a.status, 200, "{}", a.text());
     let text = a.text();
     assert_eq!(text.matches("\"value\":").count(), 3, "{text}");
-    // Every shift is one varied design's domain operating point on a
-    // shared Newton workspace — a real circuit solve, not the analytic
-    // model.
+    // Every shift is one varied design's domain operating point — a
+    // real circuit solve, not the analytic model.
     assert!(
-        counters::ENGINE_BATCHED_POINTS.get() - batched0 >= 3,
-        "vth sweep solved off the shared-workspace path"
+        counters::DC_SOLVES.get() - dc0 >= 3,
+        "vth sweep answered without a DC solve per shift"
     );
 
     // The scan is NVPG-specific; other vars stay unaffected.
@@ -797,6 +796,34 @@ fn mistyped_simulate_fields_are_rejected_not_defaulted() {
     let reply = post(addr, "/simulate", &format!(r#"{{{deck},"t_stop":"1n"}}"#));
     assert_eq!(reply.status, 400, "{}", reply.text());
     assert!(reply.text().contains("t_stop"), "{}", reply.text());
+}
+
+#[test]
+fn out_of_range_simulate_t_stop_is_a_client_error() {
+    // A numeric `t_stop` outside (0, 1] s, or so short that its derived
+    // `dt_max = t_stop/400` falls below the default `dt_min` of 1e-16 s
+    // (any t_stop < 4e-14 s), is the client's error: 400 naming the
+    // field, never a 500 from inside the transient.
+    let _l = lock();
+    let server = Server::start(test_config()).expect("start");
+    let addr = server.addr();
+
+    let tran = |t_stop: &str| {
+        post(
+            addr,
+            "/simulate",
+            &format!(
+                r#"{{"deck":"V1 a 0 1.0\nR1 a 0 1k\nC1 a 0 1p\n","analysis":"tran","t_stop":{t_stop}}}"#
+            ),
+        )
+    };
+    for bad in ["0", "-1e-9", "2", "1e-30", "3.9e-14"] {
+        let reply = tran(bad);
+        assert_eq!(reply.status, 400, "t_stop={bad}: {}", reply.text());
+        assert!(reply.text().contains("t_stop"), "{}", reply.text());
+    }
+    let shortest = tran("4.1e-14");
+    assert_eq!(shortest.status, 200, "{}", shortest.text());
 }
 
 #[test]
