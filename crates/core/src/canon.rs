@@ -122,25 +122,20 @@ fn render(v: &Json, out: &mut String) {
 /// pass [`Json::Null`] for "no body".
 pub fn request_key(method: &str, path: &str, body: &Json) -> u128 {
     let canonical = canonical_json(body);
-    request_key_raw(method, path, &canonical)
-}
-
-/// [`request_key`] over an already-canonicalised body string.
-pub fn request_key_raw(method: &str, path: &str, canonical_body: &str) -> u128 {
-    let mut bytes = Vec::with_capacity(method.len() + path.len() + canonical_body.len() + 2);
+    let mut bytes = Vec::with_capacity(method.len() + path.len() + canonical.len() + 2);
     bytes.extend_from_slice(method.as_bytes());
     bytes.push(b' ');
     bytes.extend_from_slice(path.as_bytes());
     bytes.push(b'\n');
-    bytes.extend_from_slice(canonical_body.as_bytes());
+    bytes.extend_from_slice(canonical.as_bytes());
     fnv1a_128(&bytes)
 }
 
 /// Canonicalises a sweep-point list *as a set*: ascending order, exact
 /// duplicates removed. A sweep's meaning is the set of points it visits
 /// — `[1, 2, 3]`, `[3, 2, 1]` and `[1, 1, 2, 3]` are the same query —
-/// so the serving layer keys its cache (and its request coalescing) on
-/// this form, not the wire order.
+/// so the serving layer keys its cache and single-flight group on this
+/// form, not the wire order.
 ///
 /// # Errors
 ///
@@ -374,8 +369,8 @@ mod tests {
     #[test]
     fn sweep_value_sets_are_order_and_duplicate_invariant() {
         // The regression the serving layer depends on: a reordered or
-        // duplicated sweep hits the same cache entry and coalesces into
-        // the same batch.
+        // duplicated sweep hits the same cache entry and single-flight
+        // key.
         let variants = [
             r#"{"var":"rows","values":[32,512,4096]}"#,
             r#"{"var":"rows","values":[4096,32,512]}"#,

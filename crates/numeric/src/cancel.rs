@@ -228,12 +228,6 @@ pub fn details() -> Option<(String, Duration)> {
     ACTIVE.with(|a| a.borrow().as_ref().map(|t| (t.reason(), t.elapsed())))
 }
 
-/// A clone of the installed token, if any — lets a driver loop re-install
-/// the scope on worker threads it spawns.
-pub fn current() -> Option<CancelToken> {
-    ACTIVE.with(|a| a.borrow().clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

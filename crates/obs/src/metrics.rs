@@ -189,15 +189,6 @@ pub mod counters {
     /// report rather than killing the run.
     pub static ENGINE_CANCELLED_POINTS: Counter = Counter::new("engine.cancelled_points");
 
-    /// Batches executed by the `/sweep`–`/bet` request coalescer (one
-    /// leader solve covering one or more requests).
-    pub static SERVE_BATCH_BATCHES: Counter = Counter::new("serve.batch.batches");
-    /// Requests that joined an already-open coalescing window instead of
-    /// solving alone (followers).
-    pub static SERVE_BATCH_COALESCED: Counter = Counter::new("serve.batch.coalesced");
-    /// Deduplicated sweep points solved by coalesced batches.
-    pub static SERVE_BATCH_POINTS: Counter = Counter::new("serve.batch.points");
-
     /// Checks executed by the golden/differential validation harness
     /// (one per pass/fail verdict pushed into a `ValidationReport`).
     pub static VALIDATE_CHECKS: Counter = Counter::new("validate.checks");
@@ -230,7 +221,7 @@ pub mod gauges {
 }
 
 /// Every registered counter, in render order.
-static ALL_COUNTERS: [&Counter; 38] = [
+static ALL_COUNTERS: [&Counter; 35] = [
     &counters::ACCEPTED_STEPS,
     &counters::REJECTED_LTE,
     &counters::REJECTED_NEWTON,
@@ -260,9 +251,6 @@ static ALL_COUNTERS: [&Counter; 38] = [
     &counters::SERVE_DISCONNECTS,
     &counters::SERVE_WATCHDOG_FIRES,
     &counters::ENGINE_CANCELLED_POINTS,
-    &counters::SERVE_BATCH_BATCHES,
-    &counters::SERVE_BATCH_COALESCED,
-    &counters::SERVE_BATCH_POINTS,
     &counters::VALIDATE_CHECKS,
     &counters::VALIDATE_DEVIATIONS,
     &counters::VALIDATE_MATRIX_POINTS,

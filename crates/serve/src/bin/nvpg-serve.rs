@@ -5,8 +5,7 @@
 //!            [--queue-depth N] [--queue-per-client N]
 //!            [--default-timeout-ms MS] [--max-timeout-ms MS]
 //!            [--rate-limit-rps N] [--rate-limit-burst N]
-//!            [--watchdog-stall-ms MS] [--coalesce-window-ms MS]
-//!            [--debug-endpoints] [--trace]
+//!            [--watchdog-stall-ms MS] [--debug-endpoints] [--trace]
 //! ```
 //!
 //! Runs until SIGTERM/SIGINT (ctrl-c), then drains in-flight work and
@@ -44,8 +43,7 @@ fn usage() -> ! {
         "usage: nvpg-serve [--listen ADDR] [--jobs N] [--cache-mb MB] \
          [--queue-depth N] [--queue-per-client N] [--default-timeout-ms MS] \
          [--max-timeout-ms MS] [--rate-limit-rps N] [--rate-limit-burst N] \
-         [--watchdog-stall-ms MS] [--coalesce-window-ms MS] \
-         [--debug-endpoints] [--trace]"
+         [--watchdog-stall-ms MS] [--debug-endpoints] [--trace]"
     );
     std::process::exit(2);
 }
@@ -101,10 +99,6 @@ fn main() {
             },
             "--watchdog-stall-ms" => match value("--watchdog-stall-ms").parse() {
                 Ok(ms) => config.watchdog_stall_ms = ms,
-                Err(_) => usage(),
-            },
-            "--coalesce-window-ms" => match value("--coalesce-window-ms").parse() {
-                Ok(ms) => config.coalesce_window_ms = ms,
                 Err(_) => usage(),
             },
             "--debug-endpoints" => config.debug_endpoints = true,

@@ -1,4 +1,4 @@
-//! # nvpg-serve — a batching, caching simulation service
+//! # nvpg-serve — a caching simulation service
 //!
 //! The experiment engine answers *queries*: "given an architecture,
 //! workload, and design point, what is the energy/BET?" Every answer is
@@ -28,15 +28,12 @@
 //! * **Single-flight** — N identical in-flight requests perform exactly
 //!   one solve; followers share the leader's response and count as
 //!   cache hits.
-//! * **Sweep coalescing** — sibling `/sweep` requests (same canonical
-//!   topology, *different* point sets) arriving within the coalescing
-//!   window merge into one [`batcher`] batch that solves the
-//!   deduplicated union once; each sibling renders its own response
-//!   from the shared point → result map. Sweep point sets are
-//!   canonicalised (sorted, duplicates removed) before cache keying, so
-//!   `[3,1,2]` and `[1,2,2,3]` are one cache entry. `/bet` siblings
-//!   sharing a canonical topology are by construction identical
-//!   requests, which single-flight already coalesces.
+//! * **Sweeps** — a `/sweep` point set is canonicalised (sorted,
+//!   duplicates removed) before cache keying, so `[3,1,2]` and
+//!   `[1,2,2,3]` are one cache entry and one single-flight key; each
+//!   sweep then solves exactly its own points on its own worker.
+//!   Sweeps with overlapping but different point sets solve
+//!   separately: no workload's concurrent sweeps share points.
 //! * **Fail-soft** — deck parsing returns structured `400`s (the parser
 //!   is panic-free on hostile input) and a panicking solve answers `500`
 //!   via `catch_unwind` without taking the worker down.
@@ -63,7 +60,6 @@
 //! | `POST /macro` | NV-SRAM macro spec → periphery-priced macro BET report |
 //! | `GET /debug/sleep?ms=N` | holds a worker for `N` ms (≤ 10 s); only with `debug_endpoints` |
 
-pub mod batcher;
 pub mod cache;
 pub mod http;
 pub mod limiter;
@@ -107,11 +103,6 @@ pub struct ServeConfig {
     /// Cancel a solve whose progress heartbeat has not advanced for
     /// this long (milliseconds; 0 = stall watchdog disabled).
     pub watchdog_stall_ms: u64,
-    /// How long a `/sweep` batch leader holds its coalescing window open
-    /// for sibling requests (same topology, different point sets) before
-    /// solving the deduplicated union (milliseconds; 0 = coalescing
-    /// disabled, every request solves its own points).
-    pub coalesce_window_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -128,7 +119,6 @@ impl Default for ServeConfig {
             rate_limit_rps: 0,
             rate_limit_burst: 0,
             watchdog_stall_ms: 0,
-            coalesce_window_ms: 2,
         }
     }
 }

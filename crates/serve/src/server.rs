@@ -39,8 +39,7 @@ use nvpg_circuit::{CircuitError, SolverChoice};
 use nvpg_core::bet::{bet_closed_form, bet_iterative, Bet};
 use nvpg_core::cancel::{self, CancelToken};
 use nvpg_core::canon::{
-    architecture_from_json, benchmark_params_from_json, canonical_json, canonicalize_sweep_body,
-    request_key, request_key_raw,
+    architecture_from_json, benchmark_params_from_json, canonicalize_sweep_body, request_key,
 };
 use nvpg_core::{Architecture, Experiments, Figure};
 use nvpg_obs::json::{parse as parse_json, Json};
@@ -48,7 +47,6 @@ use nvpg_obs::metrics::{counters, gauges};
 
 use nvpg_exec::queue::{FairQueue, PushError};
 
-use crate::batcher::{point_key, Batcher};
 use crate::cache::ResponseCache;
 use crate::http::{read_request, write_response, ReadError, Request, Response};
 use crate::limiter::RateLimiter;
@@ -141,7 +139,6 @@ impl Server {
                 RateLimiter::new(config.rate_limit_rps, burst)
             }),
             watch: Watch::new(),
-            batcher: Batcher::new(Duration::from_millis(config.coalesce_window_ms)),
         });
 
         let workers = (0..config.jobs.max(1))
@@ -229,9 +226,6 @@ struct Shared {
     max_timeout_ms: u64,
     limiter: Option<RateLimiter>,
     watch: Watch,
-    /// The `/sweep` request coalescer: sibling sweeps sharing a
-    /// canonical topology key merge into one union solve per window.
-    batcher: Batcher<Bet, Response>,
 }
 
 /// One in-flight request under watchdog observation.
@@ -468,7 +462,7 @@ fn cached(
     request: &Request,
     shared: &Shared,
     token: &CancelToken,
-    handler: fn(&Request, &Json, &Shared) -> Response,
+    handler: fn(&Request, &Json) -> Response,
 ) -> Response {
     // Canonicalise the body first: the cache key must see meaning, not
     // bytes. A body that is not valid JSON cannot be canonicalised and
@@ -518,19 +512,18 @@ fn cached(
     }
     // A sweep's meaning is the *set* of points it visits: canonicalise
     // `values` (sorted ascending, duplicates removed) before keying, so
-    // reordered or duplicated sweeps share one cache entry, one
-    // single-flight key, and one coalescing topology — and the handler
-    // sees (and answers over) the canonical set.
+    // reordered or duplicated sweeps share one cache entry and one
+    // single-flight key — and the handler sees (and answers over) the
+    // canonical set.
     if request.method == "POST" && matches!(request.path.as_str(), "/sweep" | "/bet") {
         body_json = canonicalize_sweep_body(&body_json);
     }
-    let canonical = canonical_json(&body_json);
     let path_and_query = if request.query.is_empty() {
         request.path.clone()
     } else {
         format!("{}?{}", request.path, request.query)
     };
-    let key = request_key_raw(&request.method, &path_and_query, &canonical);
+    let key = request_key(&request.method, &path_and_query, &body_json);
 
     if let Some(hit) = shared.cache.get(key) {
         counters::SERVE_CACHE_HITS.add(1);
@@ -547,7 +540,7 @@ fn cached(
             // handler so every Newton iteration under it can be
             // cancelled.
             let resp = match catch_unwind(AssertUnwindSafe(|| {
-                cancel::with_token(token, || handler(request, &body_json, shared))
+                cancel::with_token(token, || handler(request, &body_json))
             })) {
                 Ok(resp) => resp,
                 Err(payload) => {
@@ -606,7 +599,8 @@ fn timeout_response(reason: &str, elapsed: Duration, progress: &str) -> Response
 }
 
 /// Maps a solver error onto a response: a cancelled solve answers `504`
-/// with its partial progress, anything else a structured `500`.
+/// with its partial progress, anything else a structured `500`. Every
+/// handler that solves maps its [`CircuitError`]s through here.
 fn solver_error(stage: &str, e: &CircuitError) -> Response {
     if let CircuitError::Cancelled {
         reason,
@@ -621,7 +615,7 @@ fn solver_error(stage: &str, e: &CircuitError) -> Response {
 }
 
 /// `GET /figures/{id}?format=csv|json`.
-fn figures(request: &Request, _body: &Json, _shared: &Shared) -> Response {
+fn figures(request: &Request, _body: &Json) -> Response {
     let id = &request.path["/figures/".len()..];
     let exp = match experiments() {
         Ok(exp) => exp,
@@ -629,7 +623,7 @@ fn figures(request: &Request, _body: &Json, _shared: &Shared) -> Response {
     };
     let figure = match exp.figure_by_id(id) {
         Some(Ok(fig)) => fig,
-        Some(Err(e)) => return Response::error(500, &format!("figure {id}: {e}")),
+        Some(Err(e)) => return solver_error(&format!("figure {id}"), &e),
         None => return Response::error(404, &format!("unknown figure `{id}`")),
     };
     match request.query_param("format").unwrap_or("csv") {
@@ -761,7 +755,7 @@ fn solve_bet(
 }
 
 /// `POST /bet` — one break-even-time query.
-fn bet(_request: &Request, body: &Json, _shared: &Shared) -> Response {
+fn bet(_request: &Request, body: &Json) -> Response {
     let (arch, iterative, technology, params) = match bet_inputs(body) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -791,7 +785,7 @@ const MACRO_MAX_EDGE: usize = 64;
 /// chosen architecture under the half-array shutdown policy the
 /// granularity implies ([`nvpg_core::bet_macro_scan`]). Flows through
 /// [`cached`], so identical specs share one solve and one cache entry.
-fn macro_report(_request: &Request, body: &Json, _shared: &Shared) -> Response {
+fn macro_report(_request: &Request, body: &Json) -> Response {
     let obj = match body.as_obj() {
         Some(o) => o,
         None => return Response::error(400, "body must be a JSON object"),
@@ -916,7 +910,7 @@ fn solve_vth_scan(
         VTH_SCAN_COLS,
         params,
     )
-    .map_err(|e| Response::error(500, &format!("design scan: {e}")))?;
+    .map_err(|e| solver_error("design scan", &e))?;
     Ok(scan
         .into_iter()
         .map(|p| match p.bet {
@@ -937,10 +931,9 @@ fn solve_vth_scan(
 ///
 /// The body reaches this handler with `values` already canonicalised to
 /// the sorted-unique point *set* (see [`cached`]); the response's
-/// `points` array is defined over that set. Sibling sweeps — same
-/// topology (arch, method, var, params), different sets — coalesce
-/// through [`Shared::batcher`] into one union solve per window.
-fn sweep(request: &Request, body: &Json, shared: &Shared) -> Response {
+/// `points` array is defined over that set, and the request solves
+/// exactly those points on its own worker.
+fn sweep(_request: &Request, body: &Json) -> Response {
     let (arch, iterative, technology, base) = match bet_inputs(body) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -970,10 +963,7 @@ fn sweep(request: &Request, body: &Json, shared: &Shared) -> Response {
         Some(_) => return Response::error(400, "`values` must hold 1..=4096 numbers"),
         None => return Response::error(400, "`values` must be an array of numbers"),
     };
-    // One point's parameters, shared by the serial and coalesced paths.
-    // Every batch member validated its own points under the same `var`
-    // (part of the topology key), so union points from siblings pass the
-    // same checks.
+    // One point's parameters; a bad point answers 400 before any solve.
     let params_at = |v: f64| -> Result<nvpg_core::BenchmarkParams, Response> {
         let mut params = base;
         match var.as_str() {
@@ -1017,63 +1007,25 @@ fn sweep(request: &Request, body: &Json, shared: &Shared) -> Response {
         }
         Ok(params)
     };
-    // Validate this request's own points before touching the batcher, so
-    // a bad point answers 400 here and never poisons a shared batch.
-    for &v in &values {
-        if let Err(resp) = params_at(v) {
-            return resp;
-        }
-    }
-    let solve_points = |points: &[f64]| -> Result<Vec<Bet>, Response> {
-        if var == "vth_shift" {
-            solve_vth_scan(technology, &base, points)
-        } else {
-            points
-                .iter()
-                .map(|&v| solve_bet(arch, iterative, technology, &params_at(v)?))
-                .collect()
-        }
+    let params = match values
+        .iter()
+        .map(|&v| params_at(v))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(p) => p,
+        Err(resp) => return resp,
     };
-    let results: Vec<Bet> = if shared.batcher.window().is_zero() {
-        match solve_points(&values) {
-            Ok(r) => r,
-            Err(resp) => return resp,
-        }
+    let solved = if var == "vth_shift" {
+        solve_vth_scan(technology, &base, &values)
     } else {
-        // Topology = the canonical body minus the point set: siblings
-        // differing only in `values` share this key and coalesce.
-        let mut topology = obj.clone();
-        topology.remove("values");
-        let key = request_key(&request.method, &request.path, &Json::Obj(topology));
-        match shared
-            .batcher
-            .submit(key, &values, solve_points, cancel::cancelled)
-        {
-            Some(Ok(map)) => {
-                let looked_up: Option<Vec<Bet>> = values
-                    .iter()
-                    .map(|&v| map.get(&point_key(v)).copied())
-                    .collect();
-                match looked_up {
-                    Some(r) => r,
-                    None => return Response::error(500, "coalesced batch dropped a point"),
-                }
-            }
-            Some(Err(resp)) => return resp,
-            // Our deadline (or a disconnect) fired while parked on a
-            // sibling's batch; the union still solves our points, but
-            // nobody is waiting for this answer any more.
-            None => {
-                return match cancel::current() {
-                    Some(token) => timeout_response(
-                        &token.reason(),
-                        token.elapsed(),
-                        "waiting on a coalescing sweep batch",
-                    ),
-                    None => Response::error(500, "batch wait aborted without a cancel token"),
-                }
-            }
-        }
+        params
+            .iter()
+            .map(|p| solve_bet(arch, iterative, technology, p))
+            .collect()
+    };
+    let results: Vec<Bet> = match solved {
+        Ok(r) => r,
+        Err(resp) => return resp,
     };
     let mut out = String::from("{\"arch\":\"");
     out.push_str(&arch.to_string());
@@ -1100,7 +1052,7 @@ const MAX_TRAN_POINTS: usize = 2000;
 /// canonicalised body, so requests differing only in solver choice get
 /// distinct cache keys — a dense result is never served for a sparse
 /// request or vice versa.
-fn simulate(_request: &Request, body: &Json, _shared: &Shared) -> Response {
+fn simulate(_request: &Request, body: &Json) -> Response {
     let obj = match body.as_obj() {
         Some(o) => o,
         None => return Response::error(400, "body must be a JSON object"),

@@ -59,12 +59,18 @@ fn oversized_cache_mb_is_a_usage_error() {
 /// A removed flag is an unknown flag: usage error, no daemon.
 #[test]
 fn removed_batch_flag_is_a_usage_error() {
-    let (code, stdout) = exit_within_5s(&["--batch", "auto"]);
-    assert!(
-        !stdout.contains("listening"),
-        "the daemon started: {stdout}"
-    );
-    assert_eq!(code, Some(2), "expected the usage exit status within 5 s");
+    for args in [["--batch", "auto"], ["--coalesce-window-ms", "2"]] {
+        let (code, stdout) = exit_within_5s(&args);
+        assert!(
+            !stdout.contains("listening"),
+            "{args:?}: the daemon started: {stdout}"
+        );
+        assert_eq!(
+            code,
+            Some(2),
+            "{args:?}: expected the usage exit status within 5 s"
+        );
+    }
 }
 
 /// Kills the daemon if a failed assertion leaves it running.

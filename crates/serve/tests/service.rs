@@ -294,12 +294,13 @@ fn vth_shift_sweep_runs_real_domain_solves() {
     assert!(wild.text().contains("threshold shift"), "{}", wild.text());
 }
 
+/// Concurrent sweeps with overlapping point sets each solve and answer
+/// exactly their own points: four distinct bodies are four single-flight
+/// leaders and four solves.
 #[test]
-fn sibling_sweeps_coalesce_into_one_union_solve() {
+fn overlapping_concurrent_sweeps_each_answer_their_own_points() {
     let _l = lock();
-    let mut config = test_config();
-    config.coalesce_window_ms = 300;
-    let server = Server::start(config).expect("start");
+    let server = Server::start(test_config()).expect("start");
     let addr = server.addr();
 
     // Pay the one-off Table I characterisation outside the deltas.
@@ -307,13 +308,6 @@ fn sibling_sweeps_coalesce_into_one_union_solve() {
     assert_eq!(warm.status, 200, "{}", warm.text());
 
     let solves0 = counters::SERVE_SOLVES.get();
-    let batches0 = counters::SERVE_BATCH_BATCHES.get();
-    let coalesced0 = counters::SERVE_BATCH_COALESCED.get();
-    let points0 = counters::SERVE_BATCH_POINTS.get();
-
-    // Four siblings: same topology (arch, var, params), overlapping but
-    // distinct point sets — so neither the cache nor single-flight can
-    // dedup them; only the coalescer can.
     let bodies = [
         r#"{"arch":"NVPG","var":"rows","values":[32,64]}"#,
         r#"{"arch":"NVPG","var":"rows","values":[64,128]}"#,
@@ -330,30 +324,27 @@ fn sibling_sweeps_coalesce_into_one_union_solve() {
         assert_eq!(
             reply.text().matches("\"value\":").count(),
             2,
-            "each sibling answers exactly its own 2 points: {}",
+            "each sweep answers exactly its own 2 points: {}",
             reply.text()
         );
     }
     assert!(
         replies[1].text().contains("\"value\":6.4e1")
             && replies[1].text().contains("\"value\":1.28e2"),
-        "sibling 2 got its own points back: {}",
+        "sweep 2 got its own points back: {}",
         replies[1].text()
     );
-
-    // Reconciliation: every request was its own single-flight leader
-    // (4 distinct bodies), and every one either led the batch or joined
-    // it — with a 300 ms window they all landed in ONE batch, whose
-    // union {32, 64, 128, 256, 512} is 5 deduplicated points.
-    assert_eq!(counters::SERVE_SOLVES.get() - solves0, 4);
-    let batches = counters::SERVE_BATCH_BATCHES.get() - batches0;
-    let coalesced = counters::SERVE_BATCH_COALESCED.get() - coalesced0;
-    assert_eq!(batches + coalesced, 4, "leads + joins = batched requests");
-    assert_eq!(batches, 1, "one union solve for all four siblings");
+    // A point two sweeps share answers the same BET in both.
+    let bet_at_64 = |reply: &Reply| {
+        let rest = reply.text().split("\"value\":6.4e1").nth(1);
+        rest.and_then(|r| r.split('}').next()).map(str::to_owned)
+    };
+    assert!(bet_at_64(&replies[0]).is_some());
+    assert_eq!(bet_at_64(&replies[0]), bet_at_64(&replies[1]));
     assert_eq!(
-        counters::SERVE_BATCH_POINTS.get() - points0,
-        5,
-        "the deduplicated union was solved once"
+        counters::SERVE_SOLVES.get() - solves0,
+        4,
+        "one solve per sweep"
     );
 }
 
@@ -528,6 +519,44 @@ fn timeout_ms_answers_504_and_frees_the_worker() {
         t1.elapsed() < Duration::from_millis(500),
         "worker was freed by the cancellation, not wedged"
     );
+
+    // Every solving handler answers 504 on expiry, not only /simulate:
+    // a sweep of 1000 domain solves cannot finish in 30 ms ...
+    let warm = post(addr, "/bet", r#"{"arch":"NVPG"}"#);
+    assert_eq!(warm.status, 200, "{}", warm.text());
+    let shifts: Vec<String> = (0..1000)
+        .map(|i| format!("{:e}", -5e-3 + f64::from(i) * 1e-5))
+        .collect();
+    let body = format!(
+        r#"{{"arch":"NVPG","var":"vth_shift","values":[{}],"timeout_ms":30}}"#,
+        shifts.join(",")
+    );
+    let expired0 = counters::SERVE_DEADLINE_EXCEEDED.get();
+    let sweep = post(addr, "/sweep", &body);
+    assert_eq!(sweep.status, 504, "{}", sweep.text());
+    assert!(
+        sweep.text().contains("deadline exceeded"),
+        "{}",
+        sweep.text()
+    );
+    assert_eq!(counters::SERVE_DEADLINE_EXCEEDED.get() - expired0, 1);
+    drop(server);
+
+    // ... and neither can a figure read under a 3 ms server default.
+    let server = Server::start(ServeConfig {
+        default_timeout_ms: 3,
+        ..test_config()
+    })
+    .expect("start");
+    let expired0 = counters::SERVE_DEADLINE_EXCEEDED.get();
+    let figure = get(server.addr(), "/figures/fig6a");
+    assert_eq!(figure.status, 504, "{}", figure.text());
+    assert!(
+        figure.text().contains("deadline exceeded"),
+        "{}",
+        figure.text()
+    );
+    assert_eq!(counters::SERVE_DEADLINE_EXCEEDED.get() - expired0, 1);
 }
 
 #[test]
