@@ -24,6 +24,8 @@
 //! `--fault-rate R` (with optional `--fault-seed S`) injects
 //! deterministic solver faults into that fraction of Newton solves —
 //! exercising the rescue ladder and the failure reporting end-to-end.
+//! The schedule is keyed by figure and sweep point, never by thread, so a
+//! seed breaks the same figures at any `--jobs`.
 //!
 //! `--csv` additionally writes one CSV per figure into `DIR`; `--full`
 //! prints every data point instead of a downsampled table. Per-figure
@@ -44,29 +46,15 @@
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use nvpg_bench::obs_cli::{self, ObsOptions};
 use nvpg_bench::report::generate_report;
 use nvpg_bench::svg::render_svg;
 use nvpg_bench::{render_text, summarize, to_csv};
 use nvpg_cells::design::CellDesign;
-use nvpg_circuit::fault::{with_fault_plan, FaultKind, FaultPlan};
-use nvpg_circuit::{CircuitError, RescueStats};
-use nvpg_core::{
-    Experiments, PointStatus, RunReport, BET_FIGURE_IDS, EXTENSION_IDS, FIGURE_IDS,
-    MACRO_FIGURE_IDS,
-};
-use nvpg_exec::{Budget, Settled};
-
-/// One rendered figure, ready to print/write in canonical order.
-struct Rendered {
-    id: String,
-    stdout: String,
-    csv: Option<(PathBuf, String)>,
-    svg: Option<(PathBuf, String)>,
-    elapsed: Duration,
-}
+use nvpg_circuit::fault::{FaultKind, FaultPlan};
+use nvpg_core::{Experiments, BET_FIGURE_IDS, EXTENSION_IDS, FIGURE_IDS, MACRO_FIGURE_IDS};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let t_start = Instant::now();
@@ -210,11 +198,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!();
     }
 
-    // Fan the selected plot figures out over the worker pool; each worker
-    // renders everything to strings so the figures can be printed and
-    // written in paper order regardless of completion order. Each figure
-    // settles independently: a failure (or a panic) becomes a gap plus a
-    // run-report entry instead of aborting the whole regeneration.
+    // Run the selected plot figures on the worker pool, then print and
+    // write them in paper order. Each figure settles independently: a
+    // failure (or a panic) becomes a gap plus a run-report entry instead
+    // of aborting the whole regeneration.
     let selected: Vec<&str> = all_ids
         .iter()
         .copied()
@@ -225,78 +212,21 @@ fn main() -> Result<(), Box<dyn Error>> {
     if let Some(plan) = &fault_plan {
         eprintln!("fault injection active: {plan:?}");
     }
-    let settled: Vec<Settled<Rendered, CircuitError>> =
-        nvpg_exec::par_map_settled(jobs, &selected, Budget::unlimited(), |i, &id| {
-            let t0 = Instant::now();
-            let render = || exp.figure_by_id(id).expect("id validated above");
-            let fig = match &fault_plan {
-                // Key the schedule to the figure, not the thread, so a
-                // given seed breaks the same figures at any --jobs.
-                Some(plan) => with_fault_plan(&plan.for_point(i as u64), render),
-                None => render(),
-            }?;
-            let mut stdout = String::new();
-            stdout.push_str(&render_text(&fig, max_rows));
-            stdout.push('\n');
-            stdout.push_str(&summarize(&fig));
-            stdout.push('\n');
-            let csv = csv_dir
-                .as_ref()
-                .map(|dir| (dir.join(format!("{}.csv", fig.id)), to_csv(&fig)));
-            let svg = svg_dir
-                .as_ref()
-                .map(|dir| (dir.join(format!("{}.svg", fig.id)), render_svg(&fig)));
-            Ok(Rendered {
-                id: id.to_owned(),
-                stdout,
-                csv,
-                svg,
-                elapsed: t0.elapsed(),
-            })
-        });
+    let (figures, mut run_report) = exp.run_figures_settled(&selected, jobs, fault_plan.as_ref());
+    let rendered: Vec<_> = figures.into_iter().flatten().collect();
 
-    let mut run_report = RunReport::new();
-    let mut rendered: Vec<Rendered> = Vec::new();
-    for (&id, s) in selected.iter().zip(settled) {
-        match s {
-            Settled::Ok(r) => {
-                run_report.push(id, "figure", PointStatus::Ok, RescueStats::default());
-                rendered.push(r);
-            }
-            Settled::Err(e) => run_report.push(
-                id,
-                "figure",
-                PointStatus::Failed {
-                    taxonomy: e.taxonomy().to_owned(),
-                    message: e.to_string(),
-                },
-                RescueStats::default(),
-            ),
-            Settled::Panicked(msg) => run_report.push(
-                id,
-                "figure",
-                PointStatus::Failed {
-                    taxonomy: "panic".to_owned(),
-                    message: msg,
-                },
-                RescueStats::default(),
-            ),
-            Settled::Skipped => {
-                run_report.push(id, "figure", PointStatus::Skipped, RescueStats::default());
-            }
-        }
-    }
-
-    for r in &rendered {
-        print!("{}", r.stdout);
-        if let Some((path, csv)) = &r.csv {
-            std::fs::create_dir_all(path.parent().expect("csv dir"))?;
-            std::fs::write(path, csv)?;
+    for (fig, _) in &rendered {
+        print!("{}\n{}\n", render_text(fig, max_rows), summarize(fig));
+        if let Some(dir) = &csv_dir {
+            let path = dir.join(format!("{}.csv", fig.id));
+            std::fs::create_dir_all(dir)?;
+            std::fs::write(&path, to_csv(fig))?;
             eprintln!("  wrote {}", path.display());
         }
-        if let Some((path, svg)) = &r.svg {
-            std::fs::create_dir_all(path.parent().expect("svg dir"))?;
-            std::fs::write(path, svg)?;
+        if let Some(dir) = &svg_dir {
+            let path = dir.join(format!("{}.svg", fig.id));
+            std::fs::create_dir_all(dir)?;
+            std::fs::write(&path, render_svg(fig))?;
             eprintln!("  wrote {}", path.display());
         }
     }
@@ -310,7 +240,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         if strict {
             return Err(format!(
                 "{} of {} figure(s) failed (run without --strict to keep partial output)",
-                run_report.failed() + run_report.skipped(),
+                run_report.failed(),
                 run_report.records.len()
             )
             .into());
@@ -323,8 +253,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         eprintln!("  wrote {}", path.display());
     }
 
-    for r in &rendered {
-        eprintln!("  {:<14} {:>9.1} ms", r.id, r.elapsed.as_secs_f64() * 1e3);
+    for (fig, elapsed) in &rendered {
+        eprintln!("  {:<14} {:>9.1} ms", fig.id, elapsed.as_secs_f64() * 1e3);
     }
     eprintln!(
         "total: {:.1} ms across {} figure(s) (jobs = {})",

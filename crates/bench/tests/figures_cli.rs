@@ -1,8 +1,8 @@
 //! Command-line contract of the `figures` binary: tracing and profiling
 //! leave stdout byte-identical, the trace directory holds a schema-valid,
-//! non-empty trace, a manifest and collapsed stacks, an unknown flag is
-//! reported as a flag, and an `--only` list that names no figure is a
-//! usage error.
+//! non-empty trace, a manifest and collapsed stacks, a faulted run breaks
+//! the same figures at any `--jobs`, an unknown flag is reported as a
+//! flag, and an `--only` list that names no figure is a usage error.
 
 use std::path::Path;
 use std::process::Command;
@@ -51,6 +51,37 @@ fn tracing_leaves_stdout_identical_and_writes_a_valid_trace() {
     assert!(summary.counters > 0, "trace holds no counters");
     assert!(manifest_ok, "manifest.json missing or empty");
     assert!(folded_ok, "profile.folded missing or empty");
+}
+
+/// Fig. 3(a)–(c) and Fig. 4 fan their DC sweeps out over the pool. The
+/// fault schedule is keyed by figure and sweep point, so one seed breaks
+/// the same figures at any `--jobs`; at a 20 % rate it fails some of them
+/// and renders the rest.
+#[test]
+fn faulted_runs_break_the_same_figures_at_any_job_count() {
+    let run = |jobs: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["--only", "fig3a,fig3b,fig3c,fig4", "--fault-rate", "0.2"])
+            .args(["--jobs", jobs])
+            .output()
+            .expect("run figures");
+        assert!(
+            out.status.success(),
+            "a faulted run is fail-soft: {}",
+            out.status
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let serial = run("1");
+    assert_eq!(serial, run("2"), "the fault schedule depends on --jobs");
+    assert!(
+        serial.contains("\n  FAILED  fig"),
+        "no figure failed:\n{serial}"
+    );
+    assert!(
+        serial.starts_with("== fig"),
+        "no figure rendered:\n{serial}"
+    );
 }
 
 #[test]

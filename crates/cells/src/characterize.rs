@@ -12,14 +12,51 @@
 //!   architecture-level energy composition in `nvpg-core` consumes
 //!   (per-mode static powers, per-op energies, store/restore energy and
 //!   durations).
+//!
+//! Every per-point sweep runs through [`sweep`], which fans the points
+//! out over the worker pool under the caller's cancellation token and
+//! fault plan.
 
 use nvpg_circuit::dc::operating_point;
-use nvpg_circuit::{Circuit, CircuitError};
+use nvpg_circuit::fault::{self, with_fault_plan};
+use nvpg_circuit::{cancel, Circuit, CircuitError};
 use nvpg_devices::mtj::MtjState;
 
 use crate::bench::{CellBench, Mode};
 use crate::cell::{build_cell, sources, CellKind, MtjConfig};
 use crate::design::CellDesign;
+
+/// Maps `f` over a sweep's points on the worker pool (the pool default
+/// width) and returns the results in point order.
+///
+/// Pool workers inherit no thread-local scope, so each point installs the
+/// caller's cancellation token and the caller's fault plan re-keyed by the
+/// point index ([`fault::FaultPlan::for_point`]). A deadline thus reaches
+/// every point, and a fault schedule depends only on the plan and the
+/// point index, at every pool width (the inline one-worker path included).
+///
+/// # Errors
+///
+/// Returns the lowest-index point error.
+pub fn sweep<T, R, F>(points: &[T], f: F) -> Result<Vec<R>, CircuitError>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> Result<R, CircuitError> + Sync,
+{
+    let token = cancel::current();
+    let plan = fault::current_plan();
+    nvpg_exec::par_try_map(0, points, |i, point| {
+        let run = || match &token {
+            Some(token) => cancel::with_token(token, || f(point)),
+            None => f(point),
+        };
+        match &plan {
+            Some(plan) => with_fault_plan(&plan.for_point(i as u64), run),
+            None => run(),
+        }
+    })
+}
 
 /// One sample of the Fig. 3(a) leakage characteristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +96,7 @@ pub fn leakage_vs_vctrl(
     // nodesets, so the points fan out over the worker pool — a fresh
     // cell per point (a cell is ~20 unknowns; building one is far
     // cheaper than its Newton solve).
-    nvpg_exec::par_try_map(0, v_ctrl_points, |_, &v| {
+    sweep(v_ctrl_points, |&v| {
         let mut ckt = Circuit::new();
         let nodes = build_cell(&mut ckt, design, CellKind::NvSram, MtjConfig::stored(true))?;
         ckt.set_source(sources::VCTRL, v)?;
@@ -103,7 +140,7 @@ pub fn store_current_vs_vsr(
         left: MtjState::Parallel,
         right: MtjState::Parallel,
     };
-    nvpg_exec::par_try_map(0, v_sr_points, |_, &v| {
+    sweep(v_sr_points, |&v| {
         let mut ckt = Circuit::new();
         let nodes = build_cell(&mut ckt, design, CellKind::NvSram, mtjs)?;
         ckt.set_source(sources::VCTRL, 0.0)?;
@@ -136,7 +173,7 @@ pub fn store_current_vs_vctrl(
         left: MtjState::AntiParallel,
         right: MtjState::AntiParallel,
     };
-    nvpg_exec::par_try_map(0, v_ctrl_points, |_, &v| {
+    sweep(v_ctrl_points, |&v| {
         let mut ckt = Circuit::new();
         let nodes = build_cell(&mut ckt, design, CellKind::NvSram, mtjs)?;
         ckt.set_source(sources::VSR, design.conditions.v_sr)?;
@@ -173,7 +210,7 @@ pub fn vvdd_vs_nfsw(
     design: &CellDesign,
     fin_counts: &[u32],
 ) -> Result<Vec<VvddPoint>, CircuitError> {
-    nvpg_exec::par_try_map(0, fin_counts, |_, &n_fsw| {
+    sweep(fin_counts, |&n_fsw| {
         let d = design.with_power_switch_fins(n_fsw);
         let mtjs = MtjConfig {
             left: MtjState::Parallel,

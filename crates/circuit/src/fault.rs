@@ -22,10 +22,15 @@
 //!
 //! Selection is a pure function of `(seed, solve index)` via SplitMix64,
 //! so a plan fires identically on every run and at every worker count.
-//! Plans are installed per thread with [`with_fault_plan`]; the experiment
-//! layer installs one per sweep/Monte-Carlo point inside the worker
-//! closure, which keeps injection deterministic per *point* rather than
-//! per thread.
+//! Plans are installed per thread with [`with_fault_plan`], and pool
+//! workers do not inherit them. Every fan-out therefore re-installs the
+//! plan per point, re-keyed by the point index ([`FaultPlan::for_point`]),
+//! inside the per-point closure: `nvpg_cells::characterize::sweep` does it
+//! for every sweep from the plan installed by its caller
+//! ([`current_plan`]), `run_figures_settled` per figure and
+//! `run_variation_report` per sample. Each point counts its own solves from
+//! zero, so a schedule depends only on (seed, figure, point) and never on
+//! the thread a point ran on.
 //!
 //! # Examples
 //!
@@ -196,9 +201,9 @@ thread_local! {
 /// result plus the log of `(solve index, kind)` faults that fired.
 ///
 /// Nested installations replace the outer plan for their extent and
-/// restore it afterwards. The installation is per-thread: when the closure
-/// fans work out over `nvpg-exec`, install the plan *inside* the per-item
-/// closure instead.
+/// restore it afterwards; the log holds only the faults fired in this
+/// scope, not those of nested scopes. The installation is per-thread: a
+/// fan-out re-installs the plan inside each per-item closure.
 pub fn with_fault_plan_logged<R>(
     plan: &FaultPlan,
     f: impl FnOnce() -> R,
@@ -228,6 +233,12 @@ pub fn with_fault_plan_logged<R>(
 /// [`with_fault_plan_logged`] without the fire log.
 pub fn with_fault_plan<R>(plan: &FaultPlan, f: impl FnOnce() -> R) -> R {
     with_fault_plan_logged(plan, f).0
+}
+
+/// The plan installed on the current thread, if any: what a fan-out
+/// re-keys per point ([`FaultPlan::for_point`]) for its workers.
+pub fn current_plan() -> Option<FaultPlan> {
+    ACTIVE.with(|a| a.borrow().as_ref().map(|s| s.plan.clone()))
 }
 
 /// Called by the analysis drivers before each Newton solve: advances the
@@ -319,9 +330,12 @@ mod tests {
         with_fault_plan(&outer, || {
             assert_eq!(begin_solve(), Some(FaultKind::RejectStep));
             with_fault_plan(&inner, || {
+                assert_eq!(current_plan(), Some(inner.clone()));
                 assert_eq!(begin_solve(), Some(FaultKind::NanResidual));
             });
+            assert_eq!(current_plan(), Some(outer.clone()));
             assert_eq!(begin_solve(), Some(FaultKind::RejectStep));
         });
+        assert_eq!(current_plan(), None);
     }
 }

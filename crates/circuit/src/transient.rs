@@ -264,10 +264,6 @@ pub struct TransientResult {
     pub trace: Trace,
     /// MNA state at `t_stop` (node voltages + branch currents).
     pub final_state: DcSolution,
-    /// Newton iterations summed over every attempted step.
-    pub newton_iterations: u64,
-    /// Newton solves attempted (accepted + rejected steps).
-    pub newton_solves: u64,
     /// Rescue-ladder telemetry: step rejections, damped retries, gmin
     /// ramps, injected faults. All zero for a clean run (LTE rejections
     /// are routine step control, not rescue events, and are counted in
@@ -604,8 +600,6 @@ pub fn transient(
     Ok(TransientResult {
         trace,
         final_state,
-        newton_iterations: solver.total_iterations(),
-        newton_solves: solver.total_solves(),
         rescue,
         steps,
     })

@@ -11,17 +11,18 @@ use nvpg_cells::characterize::{
     characterize_cached, leakage_vs_vctrl, static_power_by_mode, store_current_vs_vctrl,
     store_current_vs_vsr, vvdd_vs_nfsw, CellCharacterization,
 };
+use std::time::{Duration, Instant};
+
 use nvpg_cells::design::CellDesign;
+use nvpg_circuit::fault::{with_fault_plan, FaultPlan};
 use nvpg_circuit::{CircuitError, RescueStats};
-use nvpg_exec::{Budget, Settled};
 use nvpg_units::{linspace, logspace};
 
 use crate::arch::Architecture;
 use crate::bet::{bet_closed_form, Bet};
 use crate::domain::PowerDomain;
 use crate::energy::{BenchmarkParams, EnergyModel};
-use crate::error::SimError;
-use crate::report::{PointStatus, RunReport};
+use crate::report::RunReport;
 use crate::sequence::{run_sequence, SequenceParams};
 
 /// A labelled data series.
@@ -887,61 +888,40 @@ impl Experiments {
     /// independently. A figure that errors — or *panics* — becomes a `None`
     /// gap in the output while all others render, and the returned
     /// [`RunReport`] names every failure with its taxonomy. An unknown id
-    /// is reported as a failure, not a panic.
+    /// is reported as a failure, not a panic. Each rendered figure comes
+    /// with the wall-clock time its run took.
     ///
-    /// Output (figures and report) is identical at any `jobs` count.
+    /// With `faults`, figure `i` runs under `faults.for_point(i)` and its
+    /// sweeps re-key that plan per point, so a seed breaks the same figures
+    /// at any `jobs`. Figures and report are identical at any `jobs` count.
     pub fn run_figures_settled(
         &self,
         ids: &[&str],
         jobs: usize,
-    ) -> (Vec<Option<Figure>>, RunReport) {
-        let settled: Vec<Settled<Figure, CircuitError>> =
-            nvpg_exec::par_map_settled(jobs, ids, Budget::unlimited(), |_, &id| {
+        faults: Option<&FaultPlan>,
+    ) -> (Vec<Option<(Figure, Duration)>>, RunReport) {
+        let settled = nvpg_exec::par_map_settled(jobs, ids, |i, &id| {
+            let t0 = Instant::now();
+            let run = || {
                 self.figure_by_id(id).unwrap_or_else(|| {
                     Err(CircuitError::InvalidValue {
                         element: id.to_owned(),
                         reason: "unknown figure id".to_owned(),
                     })
                 })
-            });
+            };
+            let fig = match faults {
+                Some(plan) => with_fault_plan(&plan.for_point(i as u64), run),
+                None => run(),
+            }?;
+            Ok((fig, t0.elapsed()))
+        });
         let mut report = RunReport::new();
-        let mut figures = Vec::with_capacity(ids.len());
-        for (&id, s) in ids.iter().zip(settled) {
-            match s {
-                Settled::Ok(fig) => {
-                    report.push(id, "figure", PointStatus::Ok, RescueStats::default());
-                    figures.push(Some(fig));
-                }
-                Settled::Err(e) => {
-                    report.push(
-                        id,
-                        "figure",
-                        PointStatus::Failed {
-                            taxonomy: e.taxonomy().to_owned(),
-                            message: SimError::new(id, e).to_string(),
-                        },
-                        RescueStats::default(),
-                    );
-                    figures.push(None);
-                }
-                Settled::Panicked(msg) => {
-                    report.push(
-                        id,
-                        "figure",
-                        PointStatus::Failed {
-                            taxonomy: "panic".to_owned(),
-                            message: msg,
-                        },
-                        RescueStats::default(),
-                    );
-                    figures.push(None);
-                }
-                Settled::Skipped => {
-                    report.push(id, "figure", PointStatus::Skipped, RescueStats::default());
-                    figures.push(None);
-                }
-            }
-        }
+        let figures = ids
+            .iter()
+            .zip(settled)
+            .map(|(&id, s)| report.settle(id, "figure".to_owned(), None, s, RescueStats::default()))
+            .collect();
         (figures, report)
     }
 }

@@ -51,7 +51,6 @@ pub mod canon;
 pub mod corners;
 pub mod domain;
 pub mod energy;
-pub mod error;
 pub mod experiments;
 pub mod macroscale;
 pub mod policy;
@@ -67,7 +66,6 @@ pub use cancel::CancelToken;
 pub use corners::{corner_analysis, Corner, CornerResult};
 pub use domain::PowerDomain;
 pub use energy::{BenchmarkParams, EnergyBreakdown, EnergyModel};
-pub use error::SimError;
 pub use experiments::{
     Experiments, Figure, Series, BET_FIGURE_IDS, EXTENSION_IDS, FIGURE_IDS, MACRO_FIGURE_IDS,
 };

@@ -12,7 +12,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use nvpg_circuit::RescueStats;
+use nvpg_circuit::{CircuitError, RescueStats};
+use nvpg_exec::Settled;
 use nvpg_obs::MetricsSnapshot;
 
 /// How one experiment point ended.
@@ -29,8 +30,6 @@ pub enum PointStatus {
         /// Human-readable error chain.
         message: String,
     },
-    /// Never started (budget exhausted before the point was claimed).
-    Skipped,
 }
 
 impl PointStatus {
@@ -92,6 +91,44 @@ impl RunReport {
         });
     }
 
+    /// Records how one fail-soft point settled and returns its value.
+    ///
+    /// A point that returned is rescued when `rescue` shows any rescue
+    /// activity (a survived injected fault included) and ok otherwise. An
+    /// error fails the point under its taxonomy; with an `analysis` its
+    /// message reads `experiment / point / analysis: error`. A panic fails
+    /// it under `panic` with the panic message.
+    pub fn settle<R>(
+        &mut self,
+        experiment: &str,
+        point: String,
+        analysis: Option<&str>,
+        settled: Settled<R, CircuitError>,
+        rescue: RescueStats,
+    ) -> Option<R> {
+        let (value, status) = match settled {
+            Settled::Ok(r) if rescue.any() => (Some(r), PointStatus::Rescued),
+            Settled::Ok(r) => (Some(r), PointStatus::Ok),
+            Settled::Err(e) => {
+                let message = match analysis {
+                    Some(analysis) => format!("{experiment} / {point} / {analysis}: {e}"),
+                    None => e.to_string(),
+                };
+                let taxonomy = e.taxonomy().to_owned();
+                (None, PointStatus::Failed { taxonomy, message })
+            }
+            Settled::Panicked(message) => (
+                None,
+                PointStatus::Failed {
+                    taxonomy: "panic".to_owned(),
+                    message,
+                },
+            ),
+        };
+        self.push(experiment, point, status, rescue);
+        value
+    }
+
     /// Merges another report's records after this one's. A metrics
     /// snapshot already attached here wins over the other report's (the
     /// registry is global, so snapshots are not summable).
@@ -133,17 +170,9 @@ impl RunReport {
             .count()
     }
 
-    /// Number of points skipped by a budget.
-    pub fn skipped(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.status, PointStatus::Skipped))
-            .count()
-    }
-
     /// `true` when every point succeeded.
     pub fn all_ok(&self) -> bool {
-        self.failed() == 0 && self.skipped() == 0
+        self.failed() == 0
     }
 
     /// Failure counts per taxonomy tag, sorted by tag (deterministic).
@@ -167,18 +196,16 @@ impl RunReport {
     }
 
     /// Renders the report as text: a one-line summary, then — only when
-    /// something went wrong — a failures appendix naming every failed or
-    /// skipped point with its taxonomy, message and rescue counts.
+    /// something went wrong — a failures appendix naming every failed
+    /// point with its taxonomy, message and rescue counts.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let total = self.records.len();
         out.push_str(&format!(
-            "run report: {total} points, {ok} ok, {rescued} rescued, {failed} failed, \
-             {skipped} skipped\n",
+            "run report: {total} points, {ok} ok, {rescued} rescued, {failed} failed\n",
             ok = self.succeeded() - self.rescued(),
             rescued = self.rescued(),
             failed = self.failed(),
-            skipped = self.skipped(),
         ));
         let rescue = self.total_rescue();
         if rescue.any() {
@@ -210,24 +237,15 @@ impl RunReport {
         }
         out.push_str("failures appendix:\n");
         for r in &self.records {
-            match &r.status {
-                PointStatus::Failed { taxonomy, message } => {
-                    out.push_str(&format!(
-                        "  FAILED  {} / {} [{}]: {}",
-                        r.experiment, r.point, taxonomy, message
-                    ));
-                    if r.rescue.any() {
-                        out.push_str(&format!(" (rescue: {})", r.rescue));
-                    }
-                    out.push('\n');
+            if let PointStatus::Failed { taxonomy, message } = &r.status {
+                out.push_str(&format!(
+                    "  FAILED  {} / {} [{}]: {}",
+                    r.experiment, r.point, taxonomy, message
+                ));
+                if r.rescue.any() {
+                    out.push_str(&format!(" (rescue: {})", r.rescue));
                 }
-                PointStatus::Skipped => {
-                    out.push_str(&format!(
-                        "  SKIPPED {} / {} (budget exhausted)\n",
-                        r.experiment, r.point
-                    ));
-                }
-                PointStatus::Ok | PointStatus::Rescued => {}
+                out.push('\n');
             }
         }
         out
@@ -271,29 +289,81 @@ mod tests {
             failed("dc_nonconvergence", "stalled"),
             RescueStats::default(),
         );
-        rep.push(
-            "fig3a",
-            "point 3",
-            PointStatus::Skipped,
-            RescueStats::default(),
-        );
         assert_eq!(rep.succeeded(), 2);
         assert_eq!(rep.rescued(), 1);
         assert_eq!(rep.failed(), 1);
-        assert_eq!(rep.skipped(), 1);
         assert!(!rep.all_ok());
         assert_eq!(rep.taxonomy_counts().get("dc_nonconvergence"), Some(&1));
         let text = rep.render();
         assert!(
-            text.contains("4 points, 1 ok, 1 rescued, 1 failed, 1 skipped"),
+            text.contains("3 points, 1 ok, 1 rescued, 1 failed\n"),
             "{text}"
         );
         assert!(
             text.contains("FAILED  fig3a / point 2 [dc_nonconvergence]: stalled"),
             "{text}"
         );
-        assert!(text.contains("SKIPPED fig3a / point 3"), "{text}");
         assert!(text.contains("damped-retry×1"), "{text}");
+    }
+
+    #[test]
+    fn settle_folds_each_outcome_into_one_record() {
+        let injected = RescueStats {
+            injected_faults: 2,
+            ..RescueStats::default()
+        };
+        let none = RescueStats::default();
+        let singular = || {
+            Settled::<u8, _>::Err(CircuitError::SingularMatrix {
+                detail: "zero pivot".into(),
+            })
+        };
+        let mut rep = RunReport::new();
+        assert_eq!(
+            rep.settle("x", "p0".into(), None, Settled::Ok(1), none),
+            Some(1)
+        );
+        assert_eq!(
+            rep.settle("x", "p1".into(), None, Settled::Ok(2), injected),
+            Some(2)
+        );
+        assert_eq!(
+            rep.settle("x", "p2".into(), None, singular(), injected),
+            None
+        );
+        let chained = rep.settle(
+            "variation",
+            "sample 7".into(),
+            Some("characterize"),
+            singular(),
+            none,
+        );
+        assert_eq!(chained, None);
+        let panicked = Settled::<u8, _>::Panicked("boom".into());
+        assert_eq!(rep.settle("x", "p4".into(), None, panicked, none), None);
+
+        let statuses: Vec<&PointStatus> = rep.records.iter().map(|r| &r.status).collect();
+        let zero_pivot = "singular MNA matrix: zero pivot";
+        assert_eq!(statuses[0], &PointStatus::Ok);
+        assert_eq!(
+            statuses[1],
+            &PointStatus::Rescued,
+            "a survived fault is a rescue"
+        );
+        assert_eq!(statuses[2], &failed("singular_matrix", zero_pivot));
+        assert_eq!(
+            statuses[3],
+            &failed(
+                "singular_matrix",
+                &format!("variation / sample 7 / characterize: {zero_pivot}")
+            )
+        );
+        assert_eq!(statuses[4], &failed("panic", "boom"));
+        assert_eq!(
+            rep.records[2].rescue, injected,
+            "a failure keeps its telemetry"
+        );
+        assert_eq!(rep.records[3].point, "sample 7");
     }
 
     #[test]

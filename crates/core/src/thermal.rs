@@ -11,7 +11,7 @@
 //! [`temperature_sweep`] re-characterises the cell across a temperature
 //! list with both effects applied.
 
-use nvpg_cells::characterize::{characterize_cached, CellCharacterization};
+use nvpg_cells::characterize::{characterize_cached, sweep, CellCharacterization};
 use nvpg_cells::design::CellDesign;
 use nvpg_circuit::CircuitError;
 
@@ -56,7 +56,7 @@ pub fn temperature_sweep(
     // Each point characterises an independent design, so the sweep fans
     // out over the worker pool; the memoised characterisation also lets
     // repeated sweeps over the same temperatures come back instantly.
-    nvpg_exec::par_try_map(0, temps, |_, &temp| {
+    sweep(temps, |&temp| {
         let design = at_temperature(base, temp);
         let ch = characterize_cached(&design)?;
         let bet = match bet_closed_form(&EnergyModel::new(ch), Architecture::Nvpg, params) {

@@ -13,19 +13,22 @@
 //! ([`Rng64::split`]), so the sampled designs — and therefore the BET
 //! statistics — are identical for any worker count, including 1.
 
+use std::convert::Infallible;
+use std::time::Duration;
+
 use nvpg_numeric::rng::Rng64;
 
 use nvpg_cells::characterize::characterize;
 use nvpg_cells::design::CellDesign;
 use nvpg_circuit::fault::{with_fault_plan_logged, FaultPlan};
 use nvpg_circuit::{CircuitError, RescueStats};
-use nvpg_exec::{Budget, Settled};
+use nvpg_exec::Settled;
 
 use crate::arch::Architecture;
 use crate::bet::{bet_closed_form, Bet};
+use crate::cancel::{with_token, CancelToken};
 use crate::energy::{BenchmarkParams, EnergyModel};
-use crate::error::SimError;
-use crate::report::{PointStatus, RunReport};
+use crate::report::RunReport;
 
 /// Gaussian variation magnitudes and sampling controls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,53 +114,25 @@ enum SampleResult {
     RestoreFailure,
 }
 
-/// One sample's full result for the fail-soft runner: the physical
-/// outcome (or the simulation error), plus how many faults the active
-/// [`FaultPlan`] injected into it.
-struct SampleRun {
-    outcome: Result<SampleResult, CircuitError>,
-    injected: u32,
-}
-
 /// Runs the Monte-Carlo study with the pool's default worker count.
 ///
 /// Per sample, re-characterises the varied cell and solves the NVPG BET
-/// under `params`. Individual non-convergent samples are counted, not
-/// fatal.
-///
-/// # Errors
-///
-/// Currently infallible at the top level (failures are recorded in the
-/// outcome); the `Result` reserves room for setup-stage errors.
+/// under `params`. Individual non-convergent samples are counted in the
+/// outcome, not fatal.
 pub fn run_variation(
     base: &CellDesign,
     spec: &VariationSpec,
     params: &BenchmarkParams,
-) -> Result<VariationOutcome, CircuitError> {
-    run_variation_jobs(base, spec, params, 0)
+) -> VariationOutcome {
+    run_variation_report(base, spec, params, 0, None, None).0
 }
 
-/// [`run_variation`] with an explicit worker count (`0` = pool default).
+/// Fail-soft Monte-Carlo runner on `jobs` workers (`0` = pool default):
+/// every sample settles independently and the [`RunReport`] names each
+/// failed sample with its error taxonomy and injected-fault count.
 ///
 /// The outcome is bit-identical for every `jobs` value: samples are
-/// seeded per-index and folded in index order.
-///
-/// # Errors
-///
-/// See [`run_variation`].
-pub fn run_variation_jobs(
-    base: &CellDesign,
-    spec: &VariationSpec,
-    params: &BenchmarkParams,
-    jobs: usize,
-) -> Result<VariationOutcome, CircuitError> {
-    let (outcome, _) = run_variation_report(base, spec, params, jobs, None);
-    Ok(outcome)
-}
-
-/// Fail-soft Monte-Carlo runner: every sample settles independently and
-/// the [`RunReport`] names each failed sample with its error taxonomy and
-/// injected-fault count.
+/// seeded per index and folded in index order.
 ///
 /// When `faults` is given, each sample runs under its point-derived plan
 /// ([`FaultPlan::for_point`]), so the injection schedule — like the
@@ -166,76 +141,56 @@ pub fn run_variation_jobs(
 /// panic) is counted as a simulation failure; samples the rescue ladder
 /// saves, and samples with no fired fault, produce BETs byte-identical to
 /// a fault-free run.
+///
+/// When `point_deadline` is given, each sample solves under its own
+/// [`CancelToken`] armed with that deadline; a sample that overruns
+/// settles as `Failed { taxonomy: "cancelled" }` while every other sample
+/// stays byte-identical to an undeadlined run (the token is scoped to the
+/// worker closure, so no state leaks between points).
 pub fn run_variation_report(
     base: &CellDesign,
     spec: &VariationSpec,
     params: &BenchmarkParams,
     jobs: usize,
     faults: Option<&FaultPlan>,
-) -> (VariationOutcome, RunReport) {
-    run_variation_report_deadline(base, spec, params, jobs, faults, None)
-}
-
-/// [`run_variation_report`] with an optional per-point deadline.
-///
-/// When `point_deadline` is given, each sample solves under its own
-/// [`crate::cancel::CancelToken`] armed with that deadline; a sample that
-/// overruns settles as `Failed { taxonomy: "cancelled" }` while every
-/// other sample stays byte-identical to an undeadlined run (the token is
-/// scoped to the worker closure, so no state leaks between points).
-pub fn run_variation_report_deadline(
-    base: &CellDesign,
-    spec: &VariationSpec,
-    params: &BenchmarkParams,
-    jobs: usize,
-    faults: Option<&FaultPlan>,
-    point_deadline: Option<std::time::Duration>,
+    point_deadline: Option<Duration>,
 ) -> (VariationOutcome, RunReport) {
     let indices: Vec<u64> = (0..u64::from(spec.samples)).collect();
-    let results: Vec<Settled<SampleRun, CircuitError>> =
-        nvpg_exec::par_map_settled(jobs, &indices, Budget::unlimited(), |_, &i| {
-            let run = || -> Result<SampleResult, CircuitError> {
-                let mut rng = Rng64::split(spec.seed, i);
-                let design = sample_design(base, spec, &mut rng);
-                let ch = characterize(&design)?;
-                if !ch.store_ok {
-                    return Ok(SampleResult::StoreFailure);
-                }
-                if !ch.restore_ok {
-                    return Ok(SampleResult::RestoreFailure);
-                }
-                Ok(
-                    match bet_closed_form(&EnergyModel::new(ch), Architecture::Nvpg, params) {
-                        Bet::At(t) => SampleResult::Bet(t.0),
-                        _ => SampleResult::NoBet,
-                    },
-                )
-            };
-            // Per-point deadline: a fresh token per sample, installed
-            // inside the worker closure, so one slow point cancels alone.
-            let deadlined = || match point_deadline {
-                Some(d) => {
-                    let token = crate::cancel::CancelToken::with_deadline(d);
-                    crate::cancel::with_token(&token, run)
-                }
-                None => run(),
-            };
-            Ok(match faults {
-                Some(plan) => {
-                    // Install the plan *inside* the worker closure so the
-                    // schedule keys off the sample, not the thread.
-                    let (outcome, log) = with_fault_plan_logged(&plan.for_point(i), deadlined);
-                    SampleRun {
-                        outcome,
-                        injected: log.len() as u32,
-                    }
-                }
-                None => SampleRun {
-                    outcome: deadlined(),
-                    injected: 0,
+    let runs = nvpg_exec::par_map_settled(jobs, &indices, |_, &i| {
+        let run = || -> Result<SampleResult, CircuitError> {
+            let mut rng = Rng64::split(spec.seed, i);
+            let design = sample_design(base, spec, &mut rng);
+            let ch = characterize(&design)?;
+            if !ch.store_ok {
+                return Ok(SampleResult::StoreFailure);
+            }
+            if !ch.restore_ok {
+                return Ok(SampleResult::RestoreFailure);
+            }
+            Ok(
+                match bet_closed_form(&EnergyModel::new(ch), Architecture::Nvpg, params) {
+                    Bet::At(t) => SampleResult::Bet(t.0),
+                    _ => SampleResult::NoBet,
                 },
-            })
-        });
+            )
+        };
+        // Per-point deadline: a fresh token per sample, installed
+        // inside the worker closure, so one slow point cancels alone.
+        let deadlined = || match point_deadline {
+            Some(d) => with_token(&CancelToken::with_deadline(d), run),
+            None => run(),
+        };
+        // The plan, too, is installed inside the worker closure so the
+        // schedule keys off the sample, not the thread. A sample returns
+        // its outcome with the number of faults the plan injected into it.
+        Ok::<_, Infallible>(match faults {
+            Some(plan) => {
+                let (outcome, log) = with_fault_plan_logged(&plan.for_point(i), deadlined);
+                (outcome, log.len() as u32)
+            }
+            None => (deadlined(), 0),
+        })
+    });
 
     let mut outcome = VariationOutcome {
         bets: Vec::with_capacity(spec.samples as usize),
@@ -244,88 +199,32 @@ pub fn run_variation_report_deadline(
         simulation_failures: 0,
     };
     let mut report = RunReport::new();
-    for (i, settled) in results.into_iter().enumerate() {
-        let point = format!("sample {i}");
-        match settled {
-            Settled::Ok(SampleRun {
-                outcome: Ok(res),
-                injected,
-            }) => {
-                match res {
-                    SampleResult::Bet(t) => outcome.bets.push(t),
-                    SampleResult::NoBet => {}
-                    SampleResult::StoreFailure => outcome.store_failures += 1,
-                    SampleResult::RestoreFailure => outcome.restore_failures += 1,
-                }
-                let rescue = RescueStats {
-                    injected_faults: injected,
-                    ..RescueStats::default()
-                };
-                let status = if injected > 0 {
-                    // A fired fault that still produced a result means the
-                    // rescue ladder absorbed it.
-                    PointStatus::Rescued
-                } else {
-                    PointStatus::Ok
-                };
-                report.push("variation", point, status, rescue);
-            }
-            Settled::Ok(SampleRun {
-                outcome: Err(e),
-                injected,
-            }) => {
-                outcome.simulation_failures += 1;
-                report.push(
-                    "variation",
-                    point.clone(),
-                    PointStatus::Failed {
-                        taxonomy: e.taxonomy().to_owned(),
-                        message: SimError::new("variation", e)
-                            .at_point(point)
-                            .in_analysis("characterize")
-                            .to_string(),
-                    },
-                    RescueStats {
-                        injected_faults: injected,
-                        ..RescueStats::default()
-                    },
-                );
-            }
-            Settled::Err(e) => {
-                // Unreachable in practice (the closure folds errors into
-                // SampleRun), kept total for future refactors.
-                outcome.simulation_failures += 1;
-                report.push(
-                    "variation",
-                    point,
-                    PointStatus::Failed {
-                        taxonomy: e.taxonomy().to_owned(),
-                        message: e.to_string(),
-                    },
-                    RescueStats::default(),
-                );
-            }
-            Settled::Panicked(msg) => {
-                outcome.simulation_failures += 1;
-                report.push(
-                    "variation",
-                    point,
-                    PointStatus::Failed {
-                        taxonomy: "panic".to_owned(),
-                        message: msg,
-                    },
-                    RescueStats::default(),
-                );
-            }
-            Settled::Skipped => {
-                outcome.simulation_failures += 1;
-                report.push(
-                    "variation",
-                    point,
-                    PointStatus::Skipped,
-                    RescueStats::default(),
-                );
-            }
+    for (i, run) in runs.into_iter().enumerate() {
+        // A panicked sample's fault log unwound with it.
+        let (settled, injected) = match run {
+            Settled::Ok((Ok(res), injected)) => (Settled::Ok(res), injected),
+            Settled::Ok((Err(e), injected)) => (Settled::Err(e), injected),
+            Settled::Panicked(msg) => (Settled::Panicked(msg), 0),
+            Settled::Err(never) => match never {},
+        };
+        let rescue = RescueStats {
+            injected_faults: injected,
+            ..RescueStats::default()
+        };
+        // A fired fault that still produced a result means the rescue
+        // ladder absorbed it: the sample settles as rescued.
+        match report.settle(
+            "variation",
+            format!("sample {i}"),
+            Some("characterize"),
+            settled,
+            rescue,
+        ) {
+            Some(SampleResult::Bet(t)) => outcome.bets.push(t),
+            Some(SampleResult::NoBet) => {}
+            Some(SampleResult::StoreFailure) => outcome.store_failures += 1,
+            Some(SampleResult::RestoreFailure) => outcome.restore_failures += 1,
+            None => outcome.simulation_failures += 1,
         }
     }
     (outcome, report)
@@ -379,8 +278,7 @@ mod tests {
             &CellDesign::table1(),
             &spec,
             &BenchmarkParams::fig7_default(),
-        )
-        .unwrap();
+        );
         assert_eq!(out.simulation_failures, 0, "{out:?}");
         assert_eq!(out.store_failures, 0, "{out:?}");
         assert_eq!(out.restore_failures, 0, "{out:?}");
@@ -403,8 +301,8 @@ mod tests {
         };
         let base = CellDesign::table1();
         let params = BenchmarkParams::fig7_default();
-        let serial = run_variation_jobs(&base, &spec, &params, 1).unwrap();
-        let parallel = run_variation_jobs(&base, &spec, &params, 8).unwrap();
+        let serial = run_variation_report(&base, &spec, &params, 1, None, None).0;
+        let parallel = run_variation_report(&base, &spec, &params, 8, None, None).0;
         assert_eq!(serial, parallel);
         assert_eq!(serial.mean_bet(), parallel.mean_bet());
         assert_eq!(serial.std_bet(), parallel.std_bet());

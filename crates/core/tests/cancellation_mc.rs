@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use nvpg_cells::design::CellDesign;
 use nvpg_circuit::{FaultKind, FaultPlan};
-use nvpg_core::variation::{run_variation_report, run_variation_report_deadline, VariationSpec};
+use nvpg_core::variation::{run_variation_report, VariationSpec};
 use nvpg_core::{BenchmarkParams, PointStatus};
 
 fn tiny_spec() -> VariationSpec {
@@ -43,12 +43,12 @@ fn zero_stall_is_numerically_inert_and_jobs_invariant() {
     let spec = tiny_spec();
     let params = BenchmarkParams::fig7_default();
 
-    let (clean, clean_rep) = run_variation_report(&base, &spec, &params, 0, None);
+    let (clean, clean_rep) = run_variation_report(&base, &spec, &params, 0, None, None);
     assert!(clean_rep.all_ok(), "{}", clean_rep.render());
 
     let plan = stall_plan(Duration::ZERO);
-    let (s1, r1) = run_variation_report(&base, &spec, &params, 1, Some(&plan));
-    let (s4, r4) = run_variation_report(&base, &spec, &params, 4, Some(&plan));
+    let (s1, r1) = run_variation_report(&base, &spec, &params, 1, Some(&plan), None);
+    let (s4, r4) = run_variation_report(&base, &spec, &params, 4, Some(&plan), None);
 
     assert_eq!(s1, s4, "stall outcome depends on worker count");
     assert_eq!(r1, r4, "stall report depends on worker count");
@@ -95,7 +95,7 @@ fn cancelled_point_leaves_every_other_point_byte_identical() {
     let params = BenchmarkParams::fig7_default();
 
     // Reference: no faults, no deadline.
-    let (clean, clean_rep) = run_variation_report(&base, &spec, &params, 0, None);
+    let (clean, clean_rep) = run_variation_report(&base, &spec, &params, 0, None, None);
     assert!(clean_rep.all_ok(), "{}", clean_rep.render());
 
     // Sample 0 sleeps 10 s mid-characterisation; its 4 s point deadline
@@ -103,7 +103,7 @@ fn cancelled_point_leaves_every_other_point_byte_identical() {
     // the point. The deadline is generous against CI noise: clean samples
     // finish in well under a second even in debug builds.
     let before = nvpg_obs::metrics::counters::ENGINE_CANCELLED_POINTS.get();
-    let (capped, capped_rep) = run_variation_report_deadline(
+    let (capped, capped_rep) = run_variation_report(
         &base,
         &spec,
         &params,

@@ -5,10 +5,9 @@
 use proptest::prelude::*;
 
 use nvpg_cells::design::CellDesign;
-use nvpg_circuit::{with_fault_plan, CircuitError, FaultKind, FaultPlan, RescueStats};
+use nvpg_circuit::{CircuitError, FaultKind, FaultPlan, RescueStats};
 use nvpg_core::variation::{run_variation_report, VariationSpec};
 use nvpg_core::{BenchmarkParams, Experiments, PointStatus, RunReport};
-use nvpg_exec::{Budget, Settled};
 
 fn tiny_spec() -> VariationSpec {
     VariationSpec {
@@ -32,7 +31,7 @@ fn faulted_variation_run_is_failsoft_and_jobs_invariant() {
     let spec = tiny_spec();
     let params = BenchmarkParams::fig7_default();
 
-    let (clean, clean_rep) = run_variation_report(&base, &spec, &params, 1, None);
+    let (clean, clean_rep) = run_variation_report(&base, &spec, &params, 1, None, None);
     assert!(clean_rep.all_ok(), "{}", clean_rep.render());
     assert_eq!(clean.bets.len(), spec.samples as usize);
 
@@ -47,8 +46,8 @@ fn faulted_variation_run_is_failsoft_and_jobs_invariant() {
     // magnitude, so the per-solve rate is higher than it was under the
     // fixed-heuristic stepper to keep the same expected fault count.
     let plan = FaultPlan::random(0xFA17, 2e-4, &kinds);
-    let (f1, r1) = run_variation_report(&base, &spec, &params, 1, Some(&plan));
-    let (f4, r4) = run_variation_report(&base, &spec, &params, 4, Some(&plan));
+    let (f1, r1) = run_variation_report(&base, &spec, &params, 1, Some(&plan), None);
+    let (f4, r4) = run_variation_report(&base, &spec, &params, 4, Some(&plan), None);
 
     // Byte-identical across worker counts: same BETs, same counters, same
     // report (records are in sample order and carry no timestamps).
@@ -122,48 +121,51 @@ fn faulted_variation_run_is_failsoft_and_jobs_invariant() {
 #[test]
 fn figures_settle_independently() {
     let exp = Experiments::new(CellDesign::table1()).unwrap();
-    let (figs, rep) = exp.run_figures_settled(&["fig7a", "nope", "fig8a"], 2);
+    let figures = |ids: &[&str], jobs| {
+        let (figs, rep) = exp.run_figures_settled(ids, jobs, None);
+        let figs: Vec<_> = figs.into_iter().map(|f| f.map(|(fig, _)| fig)).collect();
+        (figs, rep)
+    };
+    let (figs, rep) = figures(&["fig7a", "nope", "fig8a"], 2);
     assert!(figs[0].is_some());
     assert!(figs[1].is_none());
     assert!(figs[2].is_some());
     assert_eq!(rep.failed(), 1);
     let text = rep.render();
     assert!(
-        text.contains("nope") && text.contains("invalid_value"),
+        text.contains("FAILED  nope / figure [invalid_value]"),
         "{text}"
     );
 
     // The gap does not disturb its neighbours.
-    let (clean, clean_rep) = exp.run_figures_settled(&["fig7a", "fig8a"], 1);
+    let (clean, clean_rep) = figures(&["fig7a", "fig8a"], 1);
     assert!(clean_rep.all_ok());
     assert_eq!(figs[0], clean[0]);
     assert_eq!(figs[2], clean[1]);
 }
 
-/// A panic inside a figure worker is contained: with one (serial) worker
-/// the injected panic fires on this thread, settles as a failure with the
-/// `panic` taxonomy, and the run still returns.
+/// A panic inside a figure is contained at any worker count, including
+/// one raised on a sweep's pool worker: the figure settles as a failure
+/// with the `panic` taxonomy, and a figure that solves nothing still
+/// renders beside it.
 #[test]
 fn figure_panic_becomes_report_entry() {
     let exp = Experiments::new(CellDesign::table1()).unwrap();
-    let (figs, rep) = with_fault_plan(&FaultPlan::always(FaultKind::Panic), || {
-        exp.run_figures_settled(&["fig3a"], 1)
-    });
-    assert!(figs[0].is_none());
-    assert_eq!(rep.failed(), 1);
-    assert_eq!(rep.taxonomy_counts().get("panic"), Some(&1));
-    assert!(rep.render().contains("injected fault"), "{}", rep.render());
+    let plan = FaultPlan::always(FaultKind::Panic);
+    for jobs in [1, 2] {
+        let (figs, rep) = exp.run_figures_settled(&["fig3b", "fig7a"], jobs, Some(&plan));
+        assert!(figs[0].is_none(), "jobs = {jobs}");
+        assert!(figs[1].is_some(), "jobs = {jobs}");
+        assert_eq!(rep.failed(), 1);
+        assert_eq!(rep.taxonomy_counts().get("panic"), Some(&1));
+        assert!(rep.render().contains("injected fault"), "{}", rep.render());
+    }
 }
 
-/// Builds a report from a synthetic settled batch the same way the
-/// production folds do.
-fn synthetic_report(
-    jobs: usize,
-    n: u64,
-    fail_mod: u64,
-) -> (Vec<Settled<u64, CircuitError>>, RunReport) {
+/// Settles a synthetic batch through the one production fold.
+fn synthetic_report(jobs: usize, n: u64, fail_mod: u64) -> (Vec<Option<u64>>, RunReport) {
     let items: Vec<u64> = (0..n).collect();
-    let settled = nvpg_exec::par_map_settled(jobs, &items, Budget::unlimited(), |_, &i| {
+    let settled = nvpg_exec::par_map_settled(jobs, &items, |_, &i| {
         if i % fail_mod == 0 {
             Err(CircuitError::InvalidValue {
                 element: format!("item {i}"),
@@ -174,27 +176,20 @@ fn synthetic_report(
         }
     });
     let mut rep = RunReport::new();
-    for (i, s) in settled.iter().enumerate() {
-        let status = match s {
-            Settled::Ok(_) => PointStatus::Ok,
-            Settled::Err(e) => PointStatus::Failed {
-                taxonomy: e.taxonomy().to_owned(),
-                message: e.to_string(),
-            },
-            Settled::Panicked(m) => PointStatus::Failed {
-                taxonomy: "panic".to_owned(),
-                message: m.clone(),
-            },
-            Settled::Skipped => PointStatus::Skipped,
-        };
-        rep.push(
-            "synthetic",
-            format!("point {i}"),
-            status,
-            RescueStats::default(),
-        );
-    }
-    (settled, rep)
+    let values = settled
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| {
+            rep.settle(
+                "synthetic",
+                format!("point {i}"),
+                None,
+                s,
+                RescueStats::default(),
+            )
+        })
+        .collect();
+    (values, rep)
 }
 
 proptest! {
@@ -207,19 +202,11 @@ proptest! {
         n in 0u64..40,
         fail_mod in 2u64..7,
     ) {
-        let (sa, ra) = synthetic_report(jobs_a, n, fail_mod);
-        let (sb, rb) = synthetic_report(jobs_b, n, fail_mod);
-        prop_assert_eq!(sa.len(), sb.len());
-        for (x, y) in sa.iter().zip(&sb) {
-            match (x, y) {
-                (Settled::Ok(a), Settled::Ok(b)) => prop_assert_eq!(a, b),
-                (Settled::Err(a), Settled::Err(b)) => {
-                    prop_assert_eq!(a.to_string(), b.to_string());
-                }
-                _ => prop_assert!(false, "settled kinds diverged across jobs"),
-            }
-        }
-        prop_assert_eq!(ra, rb);
+        let (va, ra) = synthetic_report(jobs_a, n, fail_mod);
+        let (vb, rb) = synthetic_report(jobs_b, n, fail_mod);
+        prop_assert_eq!(va, vb);
+        prop_assert_eq!(ra.failed() as u64, n.div_ceil(fail_mod));
         prop_assert_eq!(ra.render(), rb.render());
+        prop_assert_eq!(ra, rb);
     }
 }

@@ -44,7 +44,7 @@ fn metrics_are_invariant_under_the_job_count() {
     for jobs in [1, 4] {
         nvpg_obs::reset_for_test();
         nvpg_obs::enable();
-        let (outcome, report) = run_variation_report(&base, &spec, &params, jobs, None);
+        let (outcome, report) = run_variation_report(&base, &spec, &params, jobs, None, None);
         nvpg_obs::disable();
         assert_eq!(outcome.bets.len(), 3, "all samples must succeed");
         snapshots.push(nvpg_obs::metrics::snapshot());

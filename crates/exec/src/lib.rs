@@ -31,9 +31,8 @@ pub mod queue;
 pub use queue::{FairQueue, PushError};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// The process-wide default worker count, settable once by the CLI layer
 /// (`--jobs`); zero means "use [`available_parallelism`]".
@@ -70,31 +69,16 @@ fn effective_jobs(jobs: usize, items: usize) -> usize {
     j.clamp(1, items.max(1))
 }
 
-/// CPU time consumed by the *calling thread* so far, or `None` where the
-/// platform doesn't expose it.
-///
-/// Benchmarks record this next to wall-clock per work item: on an
-/// oversubscribed host the wall time of a parallel pass inflates with
-/// scheduler contention while CPU time stays put, so the pair
-/// distinguishes "the solver got slower" from "the machine was busy".
-///
-/// Linux-only (reads `/proc/thread-self/schedstat`, whose first field is
-/// the thread's on-CPU nanoseconds); elsewhere it returns `None` and
-/// callers degrade to wall-clock-only reporting. Time spent in *other*
-/// threads — e.g. a nested [`par_map`] fan-out — is not attributed to the
-/// caller.
-pub fn thread_cpu_time() -> Option<Duration> {
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    let ns: u64 = text.split_whitespace().next()?.parse().ok()?;
-    Some(Duration::from_nanos(ns))
-}
-
 /// Applies `f` to every item on a bounded pool of scoped threads and
 /// returns the results in input order.
 ///
 /// `f` receives `(index, &item)`. With `jobs == 0` the process default
 /// ([`default_jobs`]) is used; with `jobs == 1` (or a single item) the
 /// map runs inline on the caller's thread with no spawning at all.
+///
+/// Workers inherit the caller's observability span and no other
+/// thread-local state: a closure that must run under the caller's
+/// cancellation token or fault plan installs them itself, per item.
 ///
 /// # Panics
 ///
@@ -164,60 +148,6 @@ pub enum Settled<R, E> {
     /// The job panicked; the payload is the panic message when it was a
     /// string, or a placeholder otherwise.
     Panicked(String),
-    /// The job was never started: the pool's [`Budget`] was exhausted
-    /// before this index was claimed.
-    Skipped,
-}
-
-impl<R, E> Settled<R, E> {
-    /// `true` for [`Settled::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Settled::Ok(_))
-    }
-
-    /// The success value, if any.
-    pub fn ok(self) -> Option<R> {
-        match self {
-            Settled::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
-/// Resource limits for [`par_map_settled`].
-///
-/// A budget bounds how much work the pool may *start*: once either limit
-/// trips, workers stop claiming new indices and every unstarted item
-/// settles as [`Settled::Skipped`] (items already in flight run to
-/// completion). `Budget::default()` is unlimited.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Budget {
-    /// Wall-clock ceiling for starting new items, measured from the
-    /// `par_map_settled` call. `None` = unlimited.
-    pub wall_clock: Option<Duration>,
-    /// Maximum number of items started. `None` = unlimited.
-    pub max_items: Option<u64>,
-}
-
-impl Budget {
-    /// An unlimited budget.
-    pub fn unlimited() -> Self {
-        Budget::default()
-    }
-
-    /// Caps wall-clock time for starting new items.
-    #[must_use]
-    pub fn with_wall_clock(mut self, limit: Duration) -> Self {
-        self.wall_clock = Some(limit);
-        self
-    }
-
-    /// Caps the number of items started.
-    #[must_use]
-    pub fn with_max_items(mut self, limit: u64) -> Self {
-        self.max_items = Some(limit);
-        self
-    }
 }
 
 /// Fail-soft variant of [`par_map`]: every item settles independently.
@@ -226,97 +156,20 @@ impl Budget {
 /// item cannot take down the run — it settles as [`Settled::Panicked`]
 /// (or [`Settled::Err`] for an ordinary error) while all other items
 /// complete normally. Output order matches input order at any job count.
-///
-/// The `budget` bounds how much work is *started*; unstarted items settle
-/// as [`Settled::Skipped`]. Note that a skip decision depends on elapsed
-/// wall-clock time, so under a finite `wall_clock` budget the Ok/Skipped
-/// boundary is *not* deterministic across runs — pass
-/// [`Budget::unlimited`] when byte-identical output matters.
-pub fn par_map_settled<T, R, E, F>(
-    jobs: usize,
-    items: &[T],
-    budget: Budget,
-    f: F,
-) -> Vec<Settled<R, E>>
+pub fn par_map_settled<T, R, E, F>(jobs: usize, items: &[T], f: F) -> Vec<Settled<R, E>>
 where
     T: Sync,
     R: Send,
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let start = Instant::now();
-    let started = AtomicU64::new(0);
-    let may_start = || {
-        if let Some(limit) = budget.wall_clock {
-            if start.elapsed() >= limit {
-                return false;
-            }
-        }
-        if let Some(limit) = budget.max_items {
-            // Claim a start slot; back out if over the cap.
-            if started.fetch_add(1, Ordering::Relaxed) >= limit {
-                return false;
-            }
-        }
-        true
-    };
-    let run_one = |i: usize, item: &T| -> Settled<R, E> {
-        if !may_start() {
-            return Settled::Skipped;
-        }
+    par_map(jobs, items, |i, item| {
         match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
             Ok(Ok(r)) => Settled::Ok(r),
             Ok(Err(e)) => Settled::Err(e),
             Err(payload) => Settled::Panicked(panic_message(payload.as_ref())),
         }
-    };
-
-    let jobs = effective_jobs(jobs, items.len());
-    if jobs <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| run_one(i, t))
-            .collect();
-    }
-
-    let mut slots: Vec<Option<Settled<R, E>>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let slot_refs = Mutex::new(&mut slots);
-    let cursor = AtomicUsize::new(0);
-    let parent_span = nvpg_obs::current_span();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(jobs);
-        for _ in 0..jobs {
-            handles.push(scope.spawn(|| {
-                let mut local: Vec<(usize, Settled<R, E>)> = Vec::new();
-                nvpg_obs::with_parent(parent_span, || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    local.push((i, run_one(i, &items[i])));
-                });
-                let mut slots = slot_refs.lock().expect("result mutex");
-                for (i, r) in local {
-                    slots[i] = Some(r);
-                }
-            }));
-        }
-        for h in handles {
-            if let Err(panic) = h.join() {
-                // run_one catches job panics; anything escaping here is a
-                // bug in the pool itself.
-                std::panic::resume_unwind(panic);
-            }
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index claimed exactly once"))
-        .collect()
+    })
 }
 
 /// Extracts a readable message from a panic payload (reused by the
@@ -422,21 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_cpu_time_is_monotonic_when_available() {
-        let Some(before) = thread_cpu_time() else {
-            return; // platform doesn't expose it — nothing to check
-        };
-        // Burn a little CPU so the counter has a chance to advance.
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        std::hint::black_box(acc);
-        let after = thread_cpu_time().expect("stays available within a thread");
-        assert!(after >= before, "{after:?} < {before:?}");
-    }
-
-    #[test]
     fn zero_jobs_uses_default() {
         set_default_jobs(2);
         assert_eq!(default_jobs(), 2);
@@ -450,16 +288,15 @@ mod tests {
     fn settled_isolates_panics_and_errors() {
         let items: Vec<u32> = (0..20).collect();
         for jobs in [1, 4] {
-            let got: Vec<Settled<u32, String>> =
-                par_map_settled(jobs, &items, Budget::unlimited(), |_, &x| {
-                    if x == 3 {
-                        panic!("boom at {x}");
-                    }
-                    if x % 7 == 5 {
-                        return Err(format!("bad {x}"));
-                    }
-                    Ok(x * 2)
-                });
+            let got: Vec<Settled<u32, String>> = par_map_settled(jobs, &items, |_, &x| {
+                if x == 3 {
+                    panic!("boom at {x}");
+                }
+                if x % 7 == 5 {
+                    return Err(format!("bad {x}"));
+                }
+                Ok(x * 2)
+            });
             assert_eq!(got.len(), items.len(), "jobs = {jobs}");
             assert_eq!(got[0], Settled::Ok(0));
             assert_eq!(got[3], Settled::Panicked("boom at 3".to_owned()));
@@ -474,7 +311,7 @@ mod tests {
     fn settled_is_identical_across_job_counts() {
         let items: Vec<u32> = (0..64).collect();
         let run = |jobs| {
-            par_map_settled::<_, _, String, _>(jobs, &items, Budget::unlimited(), |_, &x| {
+            par_map_settled::<_, _, String, _>(jobs, &items, |_, &x| {
                 if x % 5 == 0 {
                     panic!("p{x}");
                 }
@@ -485,44 +322,6 @@ mod tests {
         for jobs in [2, 3, 8] {
             assert_eq!(run(jobs), base, "jobs = {jobs}");
         }
-    }
-
-    #[test]
-    fn settled_item_budget_skips_tail() {
-        let items: Vec<u32> = (0..10).collect();
-        let got: Vec<Settled<u32, ()>> =
-            par_map_settled(1, &items, Budget::unlimited().with_max_items(4), |_, &x| {
-                Ok(x)
-            });
-        let ok = got.iter().filter(|s| s.is_ok()).count();
-        let skipped = got.iter().filter(|s| matches!(s, Settled::Skipped)).count();
-        assert_eq!(ok, 4);
-        assert_eq!(skipped, 6);
-        // Serial execution claims indices in order, so the prefix runs.
-        assert_eq!(got[0], Settled::Ok(0));
-        assert_eq!(got[9], Settled::Skipped);
-    }
-
-    #[test]
-    fn settled_expired_wall_clock_skips_everything() {
-        let items: Vec<u32> = (0..5).collect();
-        let got: Vec<Settled<u32, ()>> = par_map_settled(
-            2,
-            &items,
-            Budget::unlimited().with_wall_clock(Duration::ZERO),
-            |_, &x| Ok(x),
-        );
-        assert!(got.iter().all(|s| matches!(s, Settled::Skipped)));
-    }
-
-    #[test]
-    fn settled_ok_accessor() {
-        let s: Settled<u32, ()> = Settled::Ok(7);
-        assert!(s.is_ok());
-        assert_eq!(s.ok(), Some(7));
-        let s: Settled<u32, ()> = Settled::Skipped;
-        assert!(!s.is_ok());
-        assert_eq!(s.ok(), None);
     }
 
     #[test]

@@ -222,6 +222,12 @@ pub fn cancelled() -> bool {
     ACTIVE.with(|a| a.borrow().as_ref().is_some_and(CancelToken::is_cancelled))
 }
 
+/// The token installed on the current thread, if any: what a fan-out
+/// hands to its workers so their solves cancel with the caller's.
+pub fn current() -> Option<CancelToken> {
+    ACTIVE.with(|a| a.borrow().clone())
+}
+
 /// Cause and elapsed time of the installed token, for error construction
 /// after a checkpoint fired. `None` when no token is installed.
 pub fn details() -> Option<(String, Duration)> {
@@ -240,6 +246,7 @@ mod tests {
         assert!(!checkpoint(), "no installed token");
         assert!(!cancelled());
         assert_eq!(details(), None);
+        assert!(current().is_none());
     }
 
     #[test]
@@ -280,7 +287,7 @@ mod tests {
             });
             // Outer scope restored: outer token is still live.
             assert!(!cancelled());
-            outer.cancel("outer");
+            current().expect("outer token installed").cancel("outer");
             assert!(checkpoint());
             assert_eq!(details().unwrap().0, "outer");
         });

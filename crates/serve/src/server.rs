@@ -1182,7 +1182,7 @@ fn simulate(_request: &Request, body: &Json) -> Response {
                 }
                 out.push(']');
             }
-            out.push_str(&format!("}},\"steps\":{}}}\n", result.newton_solves));
+            out.push_str(&format!("}},\"steps\":{}}}\n", result.steps.newton_solves));
             Response::ok("application/json", out)
         }
         other => Response::error(400, &format!("unknown analysis `{other}` (dc or tran)")),

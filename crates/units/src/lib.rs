@@ -32,4 +32,4 @@ pub use quantity::{
     Amps, AmpsPerSqMeter, Celsius, Coulombs, Farads, Hertz, Joules, Kelvin, Meters, Ohms, Seconds,
     SquareMeters, Volts, Watts,
 };
-pub use sweep::{linspace, logspace, Sweep};
+pub use sweep::{linspace, logspace};

@@ -2,8 +2,8 @@
 //!
 //! The paper's figures are families of sweeps: `V_CTRL` from 0 to 0.2 V
 //! (Fig. 3(a)), `n_RW` on a log axis from 1 to 10⁴ (Fig. 7), `t_SD`
-//! logarithmically from 1 µs to 10 ms (Fig. 8). [`linspace`], [`logspace`]
-//! and the [`Sweep`] description type feed those axes.
+//! logarithmically from 1 µs to 10 ms (Fig. 8). [`linspace`] and
+//! [`logspace`] feed those axes.
 
 /// `n` evenly spaced points from `start` to `end` inclusive.
 ///
@@ -60,88 +60,6 @@ pub fn logspace(start: f64, end: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A declarative sweep axis: either linear or logarithmic.
-///
-/// Used by experiment definitions so that the same sweep can be reported in
-/// figure metadata and expanded into sample points.
-///
-/// # Examples
-///
-/// ```
-/// use nvpg_units::Sweep;
-/// let s = Sweep::linear(0.0, 0.2, 21);
-/// assert_eq!(s.points().len(), 21);
-/// let s = Sweep::log(1e-6, 1e-2, 9);
-/// assert_eq!(s.points().len(), 9);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub enum Sweep {
-    /// Evenly spaced points.
-    Linear {
-        /// First point.
-        start: f64,
-        /// Last point (inclusive).
-        end: f64,
-        /// Number of points.
-        n: usize,
-    },
-    /// Logarithmically spaced points (endpoints must be positive).
-    Log {
-        /// First point.
-        start: f64,
-        /// Last point (inclusive).
-        end: f64,
-        /// Number of points.
-        n: usize,
-    },
-    /// An explicit list of points.
-    Explicit(Vec<f64>),
-}
-
-impl Sweep {
-    /// Creates a linear sweep.
-    pub fn linear(start: f64, end: f64, n: usize) -> Self {
-        Sweep::Linear { start, end, n }
-    }
-
-    /// Creates a logarithmic sweep.
-    pub fn log(start: f64, end: f64, n: usize) -> Self {
-        Sweep::Log { start, end, n }
-    }
-
-    /// Expands the sweep into its sample points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a logarithmic sweep has non-positive endpoints.
-    pub fn points(&self) -> Vec<f64> {
-        match self {
-            Sweep::Linear { start, end, n } => linspace(*start, *end, *n),
-            Sweep::Log { start, end, n } => logspace(*start, *end, *n),
-            Sweep::Explicit(points) => points.clone(),
-        }
-    }
-
-    /// Number of points the sweep expands to.
-    pub fn len(&self) -> usize {
-        match self {
-            Sweep::Linear { n, .. } | Sweep::Log { n, .. } => *n,
-            Sweep::Explicit(points) => points.len(),
-        }
-    }
-
-    /// `true` if the sweep has no points.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl FromIterator<f64> for Sweep {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        Sweep::Explicit(iter.into_iter().collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,16 +99,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn logspace_rejects_nonpositive() {
         let _ = logspace(0.0, 1.0, 3);
-    }
-
-    #[test]
-    fn sweep_expansion() {
-        assert_eq!(Sweep::linear(0.0, 1.0, 3).points(), vec![0.0, 0.5, 1.0]);
-        assert_eq!(Sweep::log(1.0, 100.0, 3).points()[1].round(), 10.0);
-        let s: Sweep = [1.0, 2.0].into_iter().collect();
-        assert_eq!(s.points(), vec![1.0, 2.0]);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-        assert!(Sweep::Explicit(vec![]).is_empty());
     }
 }

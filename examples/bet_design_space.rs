@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         samples: mc_samples,
         ..VariationSpec::default()
     };
-    let out = run_variation(&CellDesign::table1(), &spec, &params)?;
+    let out = run_variation(&CellDesign::table1(), &spec, &params);
     println!(
         "   sigma(V_th) = {}, sigma(TMR)/TMR = {:.0}%, sigma(J_C)/J_C = {:.0}%",
         format_eng(spec.sigma_vth, "V"),
